@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -450,7 +451,7 @@ def dropout(x, rate, train, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# Layers: thin parameter containers over the functional ops above.
+# Modules: layers and models as trees of parameter containers.
 # ---------------------------------------------------------------------------
 
 
@@ -459,7 +460,62 @@ def kaiming_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv1d:
+def _leaves(value, name):
+    # (dotted name, leaf) in attribute definition order: a Tensor, or the
+    # (dict, key) slot of a buffer held in a dict attribute such as
+    # BatchNorm1d.running, named "<attribute>_<key>".
+    if isinstance(value, Module):
+        for key, child in vars(value).items():
+            yield from _leaves(child, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{name}.{i}")
+    elif isinstance(value, Tensor):
+        yield name, value
+    elif isinstance(value, dict):
+        for key in value:
+            yield f"{name}_{key}", (value, key)
+
+
+class Module:
+    """Base of layers and models.
+
+    Trainable tensors, and buffers (the arrays of a dict attribute such as
+    BatchNorm1d.running), are found by walking attributes and lists of
+    modules in definition order and named by dotted path, for example
+    ``stages.0.1.bn2.gamma`` and ``blocks.3.bn.running_var``.  The walk
+    runs only when building an optimizer, saving or loading, never per step.
+    """
+
+    def parameters(self):
+        """(dotted name, tensor) pairs of every trainable tensor."""
+        return [(n, leaf) for n, leaf in _leaves(self, "") if isinstance(leaf, Tensor)]
+
+    named_parameters = parameters
+
+    def state_items(self):
+        """Checkpoint arrays: every parameter, then every buffer."""
+        items = [(n, t.data) for n, t in self.parameters()]
+        return items + [(n, holder[key]) for n, (holder, key) in self._buffers()]
+
+    def load_state(self, arrays):
+        for name, tensor in self.parameters():
+            if name not in arrays:
+                raise CheckpointError(f"missing parameter {name!r} in checkpoint")
+            if arrays[name].shape != tensor.data.shape:
+                raise CheckpointError(
+                    f"shape mismatch for {name!r}: {arrays[name].shape} vs {tensor.data.shape}"
+                )
+            tensor.data = arrays[name].astype(np.float64).copy()
+        for name, (holder, key) in self._buffers():
+            if name in arrays:
+                holder[key] = arrays[name].astype(np.float64).copy()
+
+    def _buffers(self):
+        return [(n, leaf) for n, leaf in _leaves(self, "") if isinstance(leaf, tuple)]
+
+
+class Conv1d(Module):
     def __init__(self, c_in, c_out, kernel, stride=1, padding=0, bias=True, rng=None):
         self.stride = stride
         self.padding = padding
@@ -469,17 +525,8 @@ class Conv1d:
     def __call__(self, x, train=False):
         return conv1d(x, self.weight, self.bias, self.stride, self.padding)
 
-    def parameters(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
-    def state(self):
-        return self.parameters()
-
-
-class ConvTranspose1d:
+class ConvTranspose1d(Module):
     def __init__(self, c_in, c_out, kernel, stride=1, padding=0, output_padding=0, bias=True, rng=None):
         self.stride = stride
         self.padding = padding
@@ -490,17 +537,8 @@ class ConvTranspose1d:
     def __call__(self, x, train=False):
         return conv_transpose1d(x, self.weight, self.bias, self.stride, self.padding, self.output_padding)
 
-    def parameters(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
-    def state(self):
-        return self.parameters()
-
-
-class BatchNorm1d:
+class BatchNorm1d(Module):
     def __init__(self, channels, eps=1e-5, momentum=0.1):
         self.eps = eps
         self.momentum = momentum
@@ -512,36 +550,14 @@ class BatchNorm1d:
         mode = "train" if train else "eval"
         return batchnorm1d(x, self.gamma, self.beta, self.running, mode, self.eps, self.momentum)
 
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def state(self):
-        return self.parameters() + [
-            ("running_mean", self.running["mean"]),
-            ("running_var", self.running["var"]),
-        ]
-
-    def load_running(self, mean, var):
-        self.running["mean"] = np.asarray(mean, dtype=np.float64).copy()
-        self.running["var"] = np.asarray(var, dtype=np.float64).copy()
-
-
-class Linear:
+class Linear(Module):
     def __init__(self, n_in, n_out, bias=True, rng=None):
         self.weight = Tensor(kaiming_uniform(rng, (n_out, n_in), n_in), requires_grad=True)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def __call__(self, x, train=False):
         return linear(x, self.weight, self.bias)
-
-    def parameters(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
-
-    def state(self):
-        return self.parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +588,40 @@ def save_checkpoint(path, arch, named_arrays):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (arch, {name: array})."""
+    """Read a checkpoint; returns (arch, {name: array}).
+
+    A bad magic, an unreadable header, a payload that is not whole float64
+    values, an entry running past the payload, or trailing data after the
+    last entry raises CheckpointError naming ``path``.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r} in {path}")
-        header = json.loads(fh.readline().decode("utf-8"))
+        header_line = fh.readline()
         payload = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        arch = header["arch"]
+        if not isinstance(arch, str):
+            raise TypeError(f"arch must be a string, got {arch!r}")
+        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"])) for e in header["params"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"unreadable header in {path}: {exc}") from None
+    if len(payload) % 8:
+        raise CheckpointError(f"payload of {len(payload)} bytes in {path} is not whole float64 values")
     data = np.frombuffer(payload, dtype="<f8")
     arrays = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arrays[entry["name"]] = data[start : start + size].reshape(shape).copy()
-    return header["arch"], arrays
+    end = 0
+    for name, shape, start in entries:
+        size = math.prod(shape)
+        if start < 0 or min(shape, default=0) < 0 or start + size > data.size:
+            raise CheckpointError(
+                f"entry {name!r} (offset {start}, shape {list(shape)}) runs past the "
+                f"{data.size}-value payload in {path}"
+            )
+        arrays[name] = data[start : start + size].reshape(shape).copy()
+        end = max(end, start + size)
+    if end != data.size:
+        raise CheckpointError(f"{data.size - end} trailing values after the last entry in {path}")
+    return arch, arrays

@@ -166,29 +166,23 @@ def cmd_distill(args):
     os.makedirs(cfg.output_dir, exist_ok=True)
     dataset_name = os.path.basename(cfg.dataset)
     kd = KdConfig(alpha=cfg.alpha, temperature=cfg.temperature)
-    splits = evalkit.stratified_kfold(labels, cfg.folds, seed=cfg.seed)
-    latents_by_fold = None
-    if cfg.student == "ae_vqc":
-        cache = training.prepare_ae_folds(samples, splits, cfg)
-        latents_by_fold = {fold: latents for fold, (_, latents) in cache.items()}
+    splits, autoencoders, latents_by_fold = training.prepare_folds(samples, labels, cfg, (cfg.student,))
     fold_metrics = []
-    for split in splits:
-        latents = latents_by_fold.get(split.fold_index) if latents_by_fold else None
-        metrics, diagnostics = training.run_fold(
-            cfg.student, samples, labels, teacher_z, split, kd, cfg, latents
-        )
+    for split, metrics, diagnostics in training.cell_folds(
+        cfg.student, samples, labels, teacher_z, splits, kd, cfg, latents_by_fold
+    ):
         fold_metrics.append(metrics)
+        stem = os.path.join(cfg.output_dir, f"fold{split.fold_index}")
         if cfg.student == "ae_vqc":
-            ae, _ = cache[split.fold_index]
-            save_model(os.path.join(cfg.output_dir, f"fold{split.fold_index}.ae.ckpt"), ae)
+            save_model(f"{stem}.ae.ckpt", autoencoders[split.fold_index])
             quantum.save_theta(
-                os.path.join(cfg.output_dir, f"fold{split.fold_index}.theta.json"),
+                f"{stem}.theta.json",
                 np.asarray(diagnostics["theta"]),
                 seed=cfg.seed,
                 extra={"loss_evaluations": diagnostics["loss_evaluations"], "steps": diagnostics["steps"]},
             )
         else:
-            save_model(os.path.join(cfg.output_dir, f"fold{split.fold_index}.ckpt"), diagnostics["model"])
+            save_model(f"{stem}.ckpt", diagnostics.pop("model"))
     report = evalkit.MetricsReport(
         student=cfg.student, alpha=cfg.alpha, temperature=cfg.temperature,
         dataset=dataset_name, folds=fold_metrics,

@@ -33,10 +33,6 @@ class RowCountMismatchError(DistillError):
     pass
 
 
-class MissingCheckpointError(DistillError):
-    pass
-
-
 @dataclass(frozen=True)
 class KdConfig:
     """Distillation hyperparameters: mixing weight and temperature."""
@@ -74,8 +70,12 @@ def softmax_T(logits, temperature: float) -> np.ndarray:
     return e / e.sum()
 
 
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _teacher_p1(zt, t):
+    # The teacher's class-1 probability at temperature t.  Where -zt/t
+    # overflows exp the probability is exactly 0.0; the overflow is expected
+    # and silenced so extreme stored logits raise no warning.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-zt / t))
 
 
 def soft_loss(teacher_logits, student_logits, temperature: float) -> float:
@@ -87,7 +87,7 @@ def soft_loss(teacher_logits, student_logits, temperature: float) -> float:
     p1 = float(softmax_T(class_logits(zt), temperature)[1])
     u = zs / temperature
     # -p0 log q0 - p1 log q1 with log q written via softplus for stability
-    return float((1.0 - p1) * _softplus(u) + p1 * _softplus(-u))
+    return float((1.0 - p1) * ad._softplus(u) + p1 * ad._softplus(-u))
 
 
 def hard_loss(student_logits, label: int) -> float:
@@ -95,7 +95,7 @@ def hard_loss(student_logits, label: int) -> float:
     if label not in (0, 1):
         raise BadLabelError(f"label must be 0 or 1, got {label}")
     z = scalarize_logits(student_logits)
-    return float(_softplus(-z) if label == 1 else _softplus(z))
+    return float(ad._softplus(-z) if label == 1 else ad._softplus(z))
 
 
 def kd_loss(teacher_logits, student_logits, label: int, cfg: KdConfig) -> float:
@@ -112,9 +112,9 @@ def kd_loss_vector(student_z, teacher_z, labels, cfg: KdConfig) -> float:
     zt = np.asarray(teacher_z, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     t = cfg.temperature
-    p1 = 1.0 / (1.0 + np.exp(-zt / t))
-    soft = (1.0 - p1) * _softplus(z / t) + p1 * _softplus(-z / t)
-    hard = y * _softplus(-z) + (1.0 - y) * _softplus(z)
+    p1 = _teacher_p1(zt, t)
+    soft = (1.0 - p1) * ad._softplus(z / t) + p1 * ad._softplus(-z / t)
+    hard = y * ad._softplus(-z) + (1.0 - y) * ad._softplus(z)
     return float(np.mean((1.0 - cfg.alpha) * t * t * soft + cfg.alpha * hard))
 
 
@@ -127,7 +127,7 @@ def kd_loss_batch(student_z: ad.Tensor, teacher_z, labels, cfg: KdConfig) -> ad.
             f"shape mismatch: student {student_z.shape}, teacher {zt.shape}, labels {y.shape}"
         )
     t = cfg.temperature
-    p1 = 1.0 / (1.0 + np.exp(-zt / t))
+    p1 = _teacher_p1(zt, t)
     z_over_t = ad.mul(student_z, 1.0 / t)
     soft = ad.add(
         ad.mul(ad.softplus(z_over_t), 1.0 - p1),

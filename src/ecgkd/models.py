@@ -4,7 +4,7 @@ All models consume [B, 1, 256] windows.  Documented parameter budgets
 (exact counts are asserted in the tests against per-layer sums):
 
 * Cnn1dStudent:      36,001 trainable scalars (budget 33.0k +/- 20%)
-* Resnet1dStudent:   3,849,345 (budget 3.8M +/- 20%)
+* Resnet1dStudent:   3,853,633 (budget 3.8M +/- 20%)
 * ConvAutoencoder:   29,255 (budget 25.0k +/- 20%); its 6-dim latent
   feeds the 36-parameter circuit student.
 * WideCnnTeacher:    567,937; same block family as the CNN student with
@@ -16,13 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNorm1d, Conv1d, ConvTranspose1d, Linear, Tensor
+from .autodiff import BatchNorm1d, Conv1d, ConvTranspose1d, Linear, Module, Tensor
 
 STUDENT_KINDS = ("cnn1d", "resnet1d", "ae_vqc")
 LATENT_DIM = 6
 
 
-class _Block:
+class _Block(Module):
     """Conv1d + BatchNorm + ReLU."""
 
     def __init__(self, c_in, c_out, kernel, stride, padding, rng):
@@ -32,67 +32,13 @@ class _Block:
     def __call__(self, x, train=False):
         return ad.relu(self.bn(self.conv(x), train))
 
-    def named_state(self, prefix):
-        out = [(f"{prefix}.conv.{n}", t) for n, t in self.conv.parameters()]
-        out += [(f"{prefix}.bn.{n}", t) for n, t in self.bn.parameters()]
-        return out
-
-    def named_buffers(self, prefix):
-        return [
-            (f"{prefix}.bn.running_mean", self.bn.running["mean"]),
-            (f"{prefix}.bn.running_var", self.bn.running["var"]),
-        ]
-
-
-class _ModelBase:
-    arch = "base"
-
-    def named_parameters(self):
-        raise NotImplementedError
-
-    def named_buffers(self):
-        return []
-
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
-
-    def state_items(self):
-        items = [(n, t.data) for n, t in self.named_parameters()]
-        items += self.named_buffers()
-        return items
-
-    def load_state(self, arrays):
-        for name, tensor in self.named_parameters():
-            if name not in arrays:
-                raise ad.CheckpointError(f"missing parameter {name!r} in checkpoint")
-            if arrays[name].shape != tensor.data.shape:
-                raise ad.CheckpointError(
-                    f"shape mismatch for {name!r}: {arrays[name].shape} vs {tensor.data.shape}"
-                )
-            tensor.data = arrays[name].astype(np.float64).copy()
-        buffer_names = {n for n, _ in self.named_buffers()}
-        for name in buffer_names:
-            if name in arrays:
-                self._assign_buffer(name, arrays[name])
-
-    def _assign_buffer(self, name, value):
-        holder, leaf = name.rsplit(".", 1)
-        for prefix, block in self._buffer_holders():
-            if holder == f"{prefix}.bn":
-                block.bn.running["mean" if leaf == "running_mean" else "var"] = value.astype(np.float64).copy()
-                return
-        raise ad.CheckpointError(f"unknown buffer {name!r}")
-
-    def _buffer_holders(self):
-        return []
-
 
 def count_params(model) -> int:
     """Number of trainable scalars in a model."""
     return int(sum(t.data.size for _, t in model.named_parameters()))
 
 
-class Cnn1dStudent(_ModelBase):
+class Cnn1dStudent(Module):
     """Compact strided CNN: 4 blocks 1->16->32->64->64 (k=5, s=2), global
     average pooling, dropout 0.3, then a 64->32->1 head."""
 
@@ -119,23 +65,6 @@ class Cnn1dStudent(_ModelBase):
         x = self.fc2(x)
         return ad.reshape(x, (x.shape[0],))
 
-    def named_parameters(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out += block.named_state(f"blocks.{i}")
-        out += [(f"fc1.{n}", t) for n, t in self.fc1.parameters()]
-        out += [(f"fc2.{n}", t) for n, t in self.fc2.parameters()]
-        return out
-
-    def named_buffers(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out += block.named_buffers(f"blocks.{i}")
-        return out
-
-    def _buffer_holders(self):
-        return [(f"blocks.{i}", block) for i, block in enumerate(self.blocks)]
-
 
 class WideCnnTeacher(Cnn1dStudent):
     """Proxy teacher: the CNN student family at 4x width with a stride-4
@@ -149,7 +78,7 @@ class WideCnnTeacher(Cnn1dStudent):
         self.blocks[0] = _Block(1, 4 * self.channels[0], kernel=5, stride=4, padding=2, rng=self.rng)
 
 
-class _BasicBlock:
+class _BasicBlock(Module):
     """Two k=3 convolutions with a skip connection; projection shortcut
     (1x1 conv + BN) whenever shape changes."""
 
@@ -174,32 +103,8 @@ class _BasicBlock:
             skip = x
         return ad.relu(ad.add(branch, skip))
 
-    def named_state(self, prefix):
-        out = [(f"{prefix}.conv1.{n}", t) for n, t in self.conv1.parameters()]
-        out += [(f"{prefix}.bn1.{n}", t) for n, t in self.bn1.parameters()]
-        out += [(f"{prefix}.conv2.{n}", t) for n, t in self.conv2.parameters()]
-        out += [(f"{prefix}.bn2.{n}", t) for n, t in self.bn2.parameters()]
-        if self.proj_conv is not None:
-            out += [(f"{prefix}.proj_conv.{n}", t) for n, t in self.proj_conv.parameters()]
-            out += [(f"{prefix}.proj_bn.{n}", t) for n, t in self.proj_bn.parameters()]
-        return out
 
-    def named_buffers(self, prefix):
-        out = [
-            (f"{prefix}.bn1.running_mean", self.bn1.running["mean"]),
-            (f"{prefix}.bn1.running_var", self.bn1.running["var"]),
-            (f"{prefix}.bn2.running_mean", self.bn2.running["mean"]),
-            (f"{prefix}.bn2.running_var", self.bn2.running["var"]),
-        ]
-        if self.proj_bn is not None:
-            out += [
-                (f"{prefix}.proj_bn.running_mean", self.proj_bn.running["mean"]),
-                (f"{prefix}.proj_bn.running_var", self.proj_bn.running["var"]),
-            ]
-        return out
-
-
-class Resnet1dStudent(_ModelBase):
+class Resnet1dStudent(Module):
     """Residual student: an aggressively strided stem (k=9, s=8) followed
     by four stages of two BasicBlocks at 64/128/256/512 channels, each
     stage halving the temporal length, then global average pooling and a
@@ -232,41 +137,8 @@ class Resnet1dStudent(_ModelBase):
         x = self.head(x)
         return ad.reshape(x, (x.shape[0],))
 
-    def named_parameters(self):
-        out = [(f"stem.{n}", t) for n, t in self.stem.parameters()]
-        out += [(f"stem_bn.{n}", t) for n, t in self.stem_bn.parameters()]
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out += block.named_state(f"stages.{s}.{b}")
-        out += [(f"head.{n}", t) for n, t in self.head.parameters()]
-        return out
 
-    def named_buffers(self):
-        out = [
-            ("stem_bn.running_mean", self.stem_bn.running["mean"]),
-            ("stem_bn.running_var", self.stem_bn.running["var"]),
-        ]
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out += block.named_buffers(f"stages.{s}.{b}")
-        return out
-
-    def _assign_buffer(self, name, value):
-        holder, leaf = name.rsplit(".", 1)
-        key = "mean" if leaf == "running_mean" else "var"
-        if holder == "stem_bn":
-            self.stem_bn.running[key] = value.astype(np.float64).copy()
-            return
-        parts = holder.split(".")
-        if parts[0] == "stages":
-            block = self.stages[int(parts[1])][int(parts[2])]
-            bn = {"bn1": block.bn1, "bn2": block.bn2, "proj_bn": block.proj_bn}[parts[3]]
-            bn.running[key] = value.astype(np.float64).copy()
-            return
-        raise ad.CheckpointError(f"unknown buffer {name!r}")
-
-
-class ConvAutoencoder(_ModelBase):
+class ConvAutoencoder(Module):
     """Three stride-4 conv blocks (16/32/64 filters, k=5) down to a length-4
     map, flattened into a 6-dim latent; the decoder mirrors the path with
     transposed convolutions back to 256 samples."""
@@ -300,13 +172,6 @@ class ConvAutoencoder(_ModelBase):
 
     def forward(self, x: Tensor, train=False) -> Tensor:
         return self.decode(self.encode(x, train), train)
-
-    def named_parameters(self):
-        out = []
-        for name in ("enc1", "enc2", "enc3", "to_latent", "from_latent", "dec1", "dec2", "dec3"):
-            layer = getattr(self, name)
-            out += [(f"{name}.{n}", t) for n, t in layer.parameters()]
-        return out
 
 
 def build_student(kind: str, seed: int = 0):

@@ -25,7 +25,8 @@ class NonFiniteLossError(OptimError):
 
 
 class Adam:
-    """Adaptive moment estimation over a list of parameter tensors.
+    """Adaptive moment estimation over a list of parameter tensors
+    (anything else, such as a (name, tensor) pair, raises OptimError).
 
     Defaults: lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8.  Gradients are
     read from each tensor's ``grad`` buffer; call ``zero_grad`` between
@@ -33,7 +34,10 @@ class Adam:
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = [p for p in params if isinstance(p, Tensor)]
+        self.params = list(params)
+        for p in self.params:
+            if not isinstance(p, Tensor):
+                raise OptimError(f"Adam optimizes Tensors, got {type(p).__name__}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -118,21 +118,6 @@ def apply_cx(state, control, target):
     return state[..., permuted]
 
 
-def apply_gate(state, gate, targets, angle=None):
-    """Dispatch a named gate: H, Ry, Rz, P take one target; CX takes two."""
-    if gate == "H":
-        return apply_h(state, targets[0])
-    if gate == "Ry":
-        return apply_ry(state, targets[0], angle)
-    if gate == "Rz":
-        return apply_rz(state, targets[0], angle)
-    if gate == "P":
-        return apply_phase(state, targets[0], angle)
-    if gate == "CX":
-        return apply_cx(state, targets[0], targets[1])
-    raise QuantumError(f"unknown gate {gate!r}")
-
-
 def clamp_features(x):
     """Phase encodings are 2*pi periodic; clamping prevents aliasing."""
     return np.clip(np.asarray(x, dtype=np.float64), -np.pi, np.pi)

@@ -124,46 +124,48 @@ def model_logits(model, windows, chunk=512):
     return np.concatenate(out)
 
 
-def train_kd_student(kind, windows, labels, teacher_z, train_idx, kd: KdConfig,
-                     epochs, batch_size, learning_rate, seed):
-    """Train one backprop student on a fold's training indices."""
-    model = build_student(kind, seed=seed)
-    adam = Adam(model.parameters(), lr=learning_rate)
+def _fit_adam(model, train_idx, batch_loss, epochs, batch_size, learning_rate, seed):
+    """The Adam minibatch loop every backprop model trains with.
+
+    Each epoch draws one permutation of ``train_idx`` from
+    ``default_rng([seed, 7])``; each minibatch of dataset rows ``idx`` takes
+    one Adam step on ``batch_loss(idx)``.
+    """
+    adam = Adam([t for _, t in model.parameters()], lr=learning_rate)
     rng = np.random.default_rng([seed, 7])
     n = len(train_idx)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            idx = train_idx[order[start : start + batch_size]]
-            xb = Tensor(windows[idx][:, None, :])
-            logits = model.forward(xb, train=True)
-            loss = kd_loss_batch(logits, teacher_z[idx], labels[idx], kd)
+            loss = batch_loss(train_idx[order[start : start + batch_size]])
             adam.zero_grad()
             loss.backward()
             adam.step()
     return model
+
+
+def _kd_batch_loss(model, windows, labels, teacher_z, kd: KdConfig):
+    def batch_loss(idx):
+        logits = model.forward(Tensor(windows[idx][:, None, :]), train=True)
+        return kd_loss_batch(logits, teacher_z[idx], labels[idx], kd)
+
+    return batch_loss
+
+
+def train_kd_student(kind, windows, labels, teacher_z, train_idx, kd: KdConfig,
+                     epochs, batch_size, learning_rate, seed):
+    """Train one backprop student on a fold's training indices."""
+    model = build_student(kind, seed=seed)
+    batch_loss = _kd_batch_loss(model, windows, labels, teacher_z, kd)
+    return _fit_adam(model, train_idx, batch_loss, epochs, batch_size, learning_rate, seed)
 
 
 def train_teacher(windows, labels, epochs=20, batch_size=64, learning_rate=1e-3, seed=0):
     """Train the wide proxy teacher with plain label supervision."""
     model = WideCnnTeacher(seed=seed)
-    adam = Adam(model.parameters(), lr=learning_rate)
-    rng = np.random.default_rng([seed, 7])
-    hard = KdConfig(alpha=1.0, temperature=1.0)
     n = len(windows)
-    all_idx = np.arange(n)
-    zeros = np.zeros(n)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = all_idx[order[start : start + batch_size]]
-            xb = Tensor(windows[idx][:, None, :])
-            logits = model.forward(xb, train=True)
-            loss = kd_loss_batch(logits, zeros[idx], labels[idx], hard)
-            adam.zero_grad()
-            loss.backward()
-            adam.step()
-    return model
+    batch_loss = _kd_batch_loss(model, windows, labels, np.zeros(n), KdConfig(alpha=1.0, temperature=1.0))
+    return _fit_adam(model, np.arange(n), batch_loss, epochs, batch_size, learning_rate, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +176,13 @@ def train_teacher(windows, labels, epochs=20, batch_size=64, learning_rate=1e-3,
 def train_autoencoder(windows, train_idx, epochs, batch_size, learning_rate, seed):
     """Reconstruction-only pretraining; the latent is frozen afterwards."""
     ae = ConvAutoencoder(seed=seed)
-    adam = Adam(ae.parameters(), lr=learning_rate)
-    rng = np.random.default_rng([seed, 7])
-    n = len(train_idx)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = train_idx[order[start : start + batch_size]]
-            xb = Tensor(windows[idx][:, None, :])
-            recon = ae.forward(xb, train=True)
-            diff = recon - Tensor(windows[idx][:, None, :])
-            loss = mean_all(mul(diff, diff))
-            adam.zero_grad()
-            loss.backward()
-            adam.step()
-    return ae
+
+    def batch_loss(idx):
+        xb = Tensor(windows[idx][:, None, :])
+        diff = ae.forward(xb, train=True) - xb
+        return mean_all(mul(diff, diff))
+
+    return _fit_adam(ae, train_idx, batch_loss, epochs, batch_size, learning_rate, seed)
 
 
 @dataclass(frozen=True)
@@ -349,14 +343,39 @@ def run_fold(student, windows, labels, teacher_z, split, kd: KdConfig, cfg: RunC
     return metrics, diagnostics
 
 
+def prepare_folds(windows, labels, cfg: RunConfig, students):
+    """The run's stratified splits, plus each fold's frozen autoencoder and
+    scaled latents when ae_vqc is among ``students``.
+
+    Returns (splits, {fold: autoencoder}, {fold: latents}); both maps are
+    empty without ae_vqc.
+    """
+    splits = stratified_kfold(labels, cfg.folds, seed=cfg.seed)
+    cache = prepare_ae_folds(windows, splits, cfg) if "ae_vqc" in students else {}
+    autoencoders = {fold: ae for fold, (ae, _) in cache.items()}
+    latents_by_fold = {fold: latents for fold, (_, latents) in cache.items()}
+    return splits, autoencoders, latents_by_fold
+
+
+def cell_folds(student, windows, labels, teacher_z, splits, kd: KdConfig, cfg: RunConfig,
+               latents_by_fold):
+    """Train one grid cell fold by fold, yielding (split, metrics,
+    diagnostics) as each fold finishes.  A classical student's diagnostics
+    hold its trained model under "model"; consumers drop it before the next
+    fold so at most one fold model is alive."""
+    for split in splits:
+        latents = latents_by_fold.get(split.fold_index)
+        metrics, diagnostics = run_fold(student, windows, labels, teacher_z, split, kd, cfg, latents)
+        yield split, metrics, diagnostics
+
+
 def _grid_cell(args):
     student, alpha, temperature, windows, labels, teacher_z, splits, cfg, latents_by_fold = args
     kd = KdConfig(alpha=alpha, temperature=temperature)
     fold_metrics = []
     diag = []
-    for split in splits:
-        latents = latents_by_fold.get(split.fold_index) if latents_by_fold else None
-        metrics, diagnostics = run_fold(student, windows, labels, teacher_z, split, kd, cfg, latents)
+    for _, metrics, diagnostics in cell_folds(student, windows, labels, teacher_z, splits, kd, cfg,
+                                              latents_by_fold):
         diagnostics.pop("model", None)
         fold_metrics.append(metrics)
         diag.append(diagnostics)
@@ -369,17 +388,12 @@ def run_grid(windows, labels, teacher_z, cfg: RunConfig, dataset_name: str):
     Returns (reports, diagnostics) where diagnostics maps
     (student, alpha, T) to the per-fold training diagnostics.
     """
-    splits = stratified_kfold(labels, cfg.folds, seed=cfg.seed)
-    latents_by_fold = None
-    if "ae_vqc" in cfg.students:
-        cache = prepare_ae_folds(windows, splits, cfg)
-        latents_by_fold = {fold: latents for fold, (_, latents) in cache.items()}
-    cells = []
-    for student in cfg.students:
-        lbf = latents_by_fold if student == "ae_vqc" else None
-        for temperature in cfg.temperatures:
-            for alpha in cfg.alphas:
-                cells.append((student, alpha, temperature, windows, labels, teacher_z, splits, cfg, lbf))
+    splits, _, latents_by_fold = prepare_folds(windows, labels, cfg, cfg.students)
+    cells = [
+        (student, alpha, temperature, windows, labels, teacher_z, splits, cfg,
+         latents_by_fold if student == "ae_vqc" else {})
+        for student in cfg.students for temperature in cfg.temperatures for alpha in cfg.alphas
+    ]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_grid_cell, cells))

@@ -343,3 +343,47 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE\n{}\n")
     with pytest.raises(ad.CheckpointError):
         load_checkpoint(path)
+
+
+def _good_checkpoint(path):
+    save_checkpoint(path, "test_arch", [("w", np.arange(6.0).reshape(2, 3)), ("b", np.ones(2))])
+    return path.read_bytes()
+
+
+def _assert_checkpoint_error(path):
+    with pytest.raises(ad.CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_truncated_payload(tmp_path):
+    path = tmp_path / "cut.ckpt"
+    blob = _good_checkpoint(path)
+    path.write_bytes(blob[:-3])  # not a whole number of float64 values
+    _assert_checkpoint_error(path)
+    path.write_bytes(blob[:-8])  # whole values, but the last entry runs short
+    _assert_checkpoint_error(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    path = tmp_path / "long.ckpt"
+    blob = _good_checkpoint(path)
+    path.write_bytes(blob + bytes(16))
+    _assert_checkpoint_error(path)
+
+
+def test_checkpoint_unreadable_header(tmp_path):
+    path = tmp_path / "hdr.ckpt"
+    blob = _good_checkpoint(path)
+    magic, header, payload = blob.split(b"\n", 2)
+    for bad in (b"{not json", b"\xff\xfe", b'{"arch": "x"}', b'{"arch": "x", "params": [{"name": "w"}]}',
+                b'{"arch": [1], "params": []}'):
+        path.write_bytes(magic + b"\n" + bad + b"\n" + payload)
+        _assert_checkpoint_error(path)
+
+
+def test_checkpoint_entry_past_payload(tmp_path):
+    path = tmp_path / "past.ckpt"
+    blob = _good_checkpoint(path)
+    path.write_bytes(blob.replace(b'"offset": 6', b'"offset": 7'))
+    _assert_checkpoint_error(path)

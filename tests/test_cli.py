@@ -170,6 +170,34 @@ def test_distill_ae_vqc_checkpoints(teacher_setup, small_windows, tmp_path):
     assert (outdir / "fold0.ae.ckpt").exists()
 
 
+@pytest.mark.parametrize("student", ["cnn1d", "resnet1d", "ae_vqc"])
+def test_distill_entry_equals_one_cell_grid(student, teacher_setup, small_windows, tmp_path):
+    _, logits_path = teacher_setup
+    common = {
+        "dataset": small_windows, "teacher_logits": logits_path, "epochs": 1, "batch_size": 16,
+        "ae_epochs": 1, "spsa_steps": 4, "spsa_batch": 16, "folds": 2, "seed": 14,
+    }
+    distill_cfg = dict(common, student=student, alpha=0.3, temperature=4.0, output_dir=str(tmp_path / "d"))
+    grid_cfg = dict(common, students=[student], alphas=[0.3], temperatures=[4.0], output_dir=str(tmp_path / "g"))
+    for name, cfg in (("d", distill_cfg), ("g", grid_cfg)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    assert run_cli("distill", "--config", str(tmp_path / "d.json")) == 0
+    assert run_cli("grid", "--config", str(tmp_path / "g.json")) == 0
+    distilled = json.loads((tmp_path / "d" / "report.json").read_text())["entries"]
+    gridded = json.loads((tmp_path / "g" / "report.json").read_text())["entries"]
+    assert len(distilled) == 1
+    assert distilled == gridded
+
+
+def test_logits_truncated_checkpoint_exit_2(teacher_setup, small_windows, tmp_path, capsys):
+    ckpt, _ = teacher_setup
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(open(ckpt, "rb").read()[:-5])
+    code = run_cli("logits", "--ckpt", str(cut), "--windows", small_windows, "--out", str(tmp_path / "l.csv"))
+    assert code == 2
+    assert str(cut) in capsys.readouterr().err
+
+
 def test_distill_bad_config_exit_1(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"dataset": "missing.csv", "seed": 1, "alpha": 2.0}))

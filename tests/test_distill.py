@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,37 @@ def test_teacher_logits_row_count_mismatch(tmp_path):
     save_teacher_logits(path, [0.5, -1.2])
     with pytest.raises(RowCountMismatchError):
         load_teacher_logits(path, expected_rows=3)
+
+
+def _softplus_ref(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def test_kd_losses_extreme_teacher_logits_raise_no_warning():
+    cfg = KdConfig(alpha=0.3, temperature=2.0)
+    zs = np.array([0.5, -1.5])
+    zt = np.array([-2000.0, 2000.0])
+    y = np.array([0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = kd_loss_vector(zs, zt, y, cfg)
+        batch = kd_loss_batch(Tensor(zs), zt, y, cfg)
+    # the teacher is certain: its class-1 probability is exactly 0, then 1
+    soft = np.array([_softplus_ref(zs[0] / 2.0), _softplus_ref(-zs[1] / 2.0)])
+    hard = np.array([_softplus_ref(zs[0]), _softplus_ref(-zs[1])])
+    assert vec == pytest.approx(float(np.mean(0.7 * 4.0 * soft + 0.3 * hard)), rel=1e-15)
+    assert float(batch.data) == pytest.approx(vec, rel=1e-15)
+
+
+def test_kd_loss_vector_teacher_probability_bits_unchanged():
+    rng = np.random.default_rng(4)
+    cfg = KdConfig(alpha=0.4, temperature=3.0)
+    zs = rng.uniform(-6, 6, 64)
+    zt = rng.uniform(-600, 600, 64)
+    y = rng.integers(0, 2, 64)
+    t = cfg.temperature
+    p1 = 1.0 / (1.0 + np.exp(-zt / t))
+    soft = (1.0 - p1) * _softplus_ref(zs / t) + p1 * _softplus_ref(-zs / t)
+    hard = y * _softplus_ref(-zs) + (1.0 - y) * _softplus_ref(zs)
+    expected = float(np.mean((1.0 - cfg.alpha) * t * t * soft + cfg.alpha * hard))
+    assert kd_loss_vector(zs, zt, y, cfg) == expected

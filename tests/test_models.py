@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,36 @@ def test_checkpoint_roundtrip_preserves_eval_outputs(tmp_path):
         loaded = load_model(path, seed=99)
         after = loaded.forward(x, train=False).data
         assert np.allclose(before, after, atol=1e-12)
+
+
+# sha256 of the QDST1 header line of a seed-0 checkpoint per architecture.
+# The header holds names, shapes and offsets only, so the digests pin the
+# dotted parameter/buffer names and their order independently of platform.
+CHECKPOINT_HEADER_SHA256 = {
+    Cnn1dStudent: "4ec411152942a72f0c140c547ea9694c8f0a2ab82fd901281eafa8191a09e87d",
+    Resnet1dStudent: "2bc036ca76c51e9de3a216e40fec460ca3fc0580e5bdb0c0bea8bf6d3163fbd3",
+    ConvAutoencoder: "5d040c03fc5610e57b6382a9fc7a41753a1e6c74a876171945391e0d985a3fc0",
+    WideCnnTeacher: "be55717587d7d16e05ab03fd981cd8d5a61ab8b656b25e1cb687a76f41eb6f01",
+}
+
+
+@pytest.mark.parametrize("cls", list(CHECKPOINT_HEADER_SHA256), ids=lambda c: c.arch)
+def test_checkpoint_header_names_pinned(cls, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(path, cls(seed=0))
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"QDST1\n"
+        header = fh.readline()
+    assert hashlib.sha256(header).hexdigest() == CHECKPOINT_HEADER_SHA256[cls]
+
+
+def test_parameters_are_named_pairs_params_before_buffers():
+    model = Resnet1dStudent(seed=0)
+    names = [n for n, _ in model.parameters()]
+    assert names[:4] == ["stem.weight", "stem.bias", "stem_bn.gamma", "stem_bn.beta"]
+    assert "stages.0.1.bn2.gamma" in names
+    assert all(isinstance(t, Tensor) for _, t in model.parameters())
+    state = [n for n, _ in model.state_items()]
+    assert state[: len(names)] == names
+    assert state[len(names):][:2] == ["stem_bn.running_mean", "stem_bn.running_var"]
+    assert state[-1] == "stages.3.1.bn2.running_var"

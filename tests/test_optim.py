@@ -186,3 +186,11 @@ def test_spsa_quadratic_convergence_20_seeds():
         if np.linalg.norm(theta) < 0.1:
             converged += 1
     assert converged >= 19
+
+
+def test_adam_rejects_non_tensors():
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    with pytest.raises(OptimError):
+        Adam([("weight", p)])
+    with pytest.raises(OptimError):
+        Adam([p, np.array([1.0])])

@@ -42,15 +42,12 @@ def test_cx_flips_target_when_control_set():
     assert abs(out[(1 << 0) | (1 << 5)]) == pytest.approx(1.0)
 
 
-def test_apply_gate_dispatch_and_errors():
+def test_qubit_index_errors():
     s = q.zero_state()
-    assert np.allclose(q.apply_gate(s, "H", [1]), q.apply_h(s, 1))
     with pytest.raises(q.BadQubitIndexError):
         q.apply_h(s, 6)
     with pytest.raises(q.BadQubitIndexError):
         q.apply_cx(s, 2, 2)
-    with pytest.raises(q.QuantumError):
-        q.apply_gate(s, "SWAP", [0, 1])
 
 
 def test_feature_map_at_pi_gives_uniform_state():
