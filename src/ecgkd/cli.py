@@ -166,7 +166,7 @@ def cmd_distill(args):
     os.makedirs(cfg.output_dir, exist_ok=True)
     dataset_name = os.path.basename(cfg.dataset)
     kd = KdConfig(alpha=cfg.alpha, temperature=cfg.temperature)
-    splits, autoencoders, latents_by_fold = training.prepare_folds(samples, labels, cfg, (cfg.student,))
+    splits, encoders, latents_by_fold = training.prepare_folds(samples, labels, cfg, (cfg.student,))
     fold_metrics = []
     for split, metrics, diagnostics in training.cell_folds(
         cfg.student, samples, labels, teacher_z, splits, kd, cfg, latents_by_fold
@@ -174,12 +174,18 @@ def cmd_distill(args):
         fold_metrics.append(metrics)
         stem = os.path.join(cfg.output_dir, f"fold{split.fold_index}")
         if cfg.student == "ae_vqc":
-            save_model(f"{stem}.ae.ckpt", autoencoders[split.fold_index])
+            ae, scaler = encoders[split.fold_index]
+            save_model(f"{stem}.ae.ckpt", ae)
             quantum.save_theta(
                 f"{stem}.theta.json",
                 np.asarray(diagnostics["theta"]),
                 seed=cfg.seed,
-                extra={"loss_evaluations": diagnostics["loss_evaluations"], "steps": diagnostics["steps"]},
+                extra={
+                    "loss_evaluations": diagnostics["loss_evaluations"],
+                    "steps": diagnostics["steps"],
+                    "latent_mean": scaler.mean.tolist(),
+                    "latent_scale": scaler.scale.tolist(),
+                },
             )
         else:
             save_model(f"{stem}.ckpt", diagnostics.pop("model"))

@@ -1,9 +1,13 @@
 """Exact statevector simulation of the 6-qubit circuit student.
 
 States are complex128 arrays whose last axis has length 64; leading axes
-are broadcast batch dimensions so a whole minibatch of encodings can be
-pushed through the circuit in a handful of vectorized gate applications.
-Qubit 0 is the least significant bit of the basis index.
+are broadcast batch dimensions.  Qubit 0 is the least significant bit of
+the basis index.  The circuit is simulated from its structure rather than
+gate by gate: each feature-map repetition is one product with the
+Walsh-Hadamard matrix of H on every qubit followed by one diagonal phase,
+and the ansatz folds into one 64x64 matrix built from Kronecker products
+of the per-qubit Rz.Ry rotations and a fixed basis permutation for the
+CX chain.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ LOGIT_SCALE = 4.0
 
 
 class QuantumError(Exception):
-    pass
-
-
-class BadQubitIndexError(QuantumError):
     pass
 
 
@@ -42,9 +42,22 @@ class OutOfRangeError(QuantumError):
     pass
 
 
-_INDICES = np.arange(DIM)
+# _BITS[b, q] = bit q of basis index b
+_BITS = (np.arange(DIM)[:, None] >> np.arange(N_QUBITS)) & 1
 # sign[b, i] = +1 if bit i of b is 0 else -1
-_Z_SIGNS = 1.0 - 2.0 * ((_INDICES[:, None] >> np.arange(N_QUBITS)[None, :]) & 1)
+_Z_SIGNS = 1.0 - 2.0 * _BITS
+# H on every qubit: (-1)^popcount(b & c) / 8, real and symmetric; stored
+# complex so that applying it is a single complex matrix product.
+_H_ALL = ((1.0 - 2.0 * ((_BITS @ _BITS.T) & 1)) / 8.0).astype(np.complex128)
+# Rows: the bits b_q, then the parities b_q xor b_{q+1}.  CX(q, q+1) P(phi)
+# CX(q, q+1) is the phase phi on that parity, so every gate of the feature
+# map after its Hadamards is one diagonal phase over these 11 rows.
+_PHASE_TABLE = np.hstack([_BITS, _BITS[:, :-1] ^ _BITS[:, 1:]]).T.astype(np.float64)
+
+# CX(0,1) ... CX(4,5), applied in that order, sends basis b to c with c_k the
+# parity of b_0..b_k, so b_k = c_k xor c_{k-1}: chain(state) is
+# state[..., _CX_CHAIN].
+_CX_CHAIN = (np.arange(DIM) ^ (np.arange(DIM) << 1)) & (DIM - 1)
 
 
 def zero_state(batch=None):
@@ -53,69 +66,6 @@ def zero_state(batch=None):
     state = np.zeros(shape, dtype=np.complex128)
     state[..., 0] = 1.0
     return state
-
-
-def _check_qubit(q):
-    if not 0 <= q < N_QUBITS:
-        raise BadQubitIndexError(f"qubit index {q} outside [0, {N_QUBITS})")
-
-
-def _split(state, q):
-    # View the last axis as (high, bit q, low) blocks.
-    lead = state.shape[:-1]
-    return state.reshape(*lead, 2 ** (N_QUBITS - 1 - q), 2, 2 ** q)
-
-
-def apply_h(state, q):
-    _check_qubit(q)
-    s = _split(state, q)
-    s0, s1 = s[..., 0, :], s[..., 1, :]
-    out = np.empty_like(s)
-    inv = 1.0 / np.sqrt(2.0)
-    out[..., 0, :] = (s0 + s1) * inv
-    out[..., 1, :] = (s0 - s1) * inv
-    return out.reshape(state.shape)
-
-
-def apply_ry(state, q, angle):
-    _check_qubit(q)
-    s = _split(state, q)
-    c, sn = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    s0, s1 = s[..., 0, :], s[..., 1, :]
-    out = np.empty_like(s)
-    out[..., 0, :] = c * s0 - sn * s1
-    out[..., 1, :] = sn * s0 + c * s1
-    return out.reshape(state.shape)
-
-
-def apply_rz(state, q, angle):
-    _check_qubit(q)
-    s = _split(state, q).copy()
-    s[..., 0, :] = s[..., 0, :] * np.exp(-0.5j * angle)
-    s[..., 1, :] = s[..., 1, :] * np.exp(0.5j * angle)
-    return s.reshape(state.shape)
-
-
-def apply_phase(state, q, phi):
-    """P(phi) on qubit q; phi may be a scalar or a batch vector."""
-    _check_qubit(q)
-    s = _split(state, q).copy()
-    phase = np.exp(1j * np.asarray(phi, dtype=np.float64))
-    if phase.ndim:  # per-batch angle: broadcast over the block axes
-        phase = phase.reshape(phase.shape + (1, 1))
-    s[..., 1, :] = s[..., 1, :] * phase
-    return s.reshape(state.shape)
-
-
-def apply_cx(state, control, target):
-    _check_qubit(control)
-    _check_qubit(target)
-    if control == target:
-        raise BadQubitIndexError("control and target must differ")
-    mask = ((_INDICES >> control) & 1) == 1
-    permuted = _INDICES.copy()
-    permuted[mask] = _INDICES[mask] ^ (1 << target)
-    return state[..., permuted]
 
 
 def clamp_features(x):
@@ -135,17 +85,30 @@ def zz_feature_map(state, x, reps=FEATURE_MAP_REPS):
     x = clamp_features(x)
     if x.shape[-1] != N_QUBITS:
         raise QuantumError(f"feature vector must have length {N_QUBITS}, got {x.shape}")
+    weights = np.concatenate([x, (np.pi - x[..., :-1]) * (np.pi - x[..., 1:])], axis=-1)
+    phase = np.exp(2j * (weights @ _PHASE_TABLE))
     for _ in range(reps):
-        for q in range(N_QUBITS):
-            state = apply_h(state, q)
-        for q in range(N_QUBITS):
-            state = apply_phase(state, q, 2.0 * x[..., q])
-        for q in range(N_QUBITS - 1):
-            pair_phase = 2.0 * (np.pi - x[..., q]) * (np.pi - x[..., q + 1])
-            state = apply_cx(state, q, q + 1)
-            state = apply_phase(state, q + 1, pair_phase)
-            state = apply_cx(state, q, q + 1)
+        state = (state @ _H_ALL) * phase
     return state
+
+
+def _rotation_layers(angles):
+    """Transposed 64x64 matrices of the rotation layers.
+
+    ``angles[l, 0, q]`` is layer l's Ry angle and ``angles[l, 1, q]`` its Rz
+    angle on qubit q; each layer is the Kronecker product of the 2x2 blocks
+    Rz.Ry with qubit 0 as the last factor.
+    """
+    half_ry, half_rz = angles[:, 0] / 2.0, angles[:, 1] / 2.0
+    c, s = np.cos(half_ry), np.sin(half_ry)
+    lo, hi = np.exp(-1j * half_rz), np.exp(1j * half_rz)
+    # blocks[l, q] = (Rz.Ry)^T = [[lo c, hi s], [-lo s, hi c]]
+    blocks = np.stack([np.stack([lo * c, hi * s], -1), np.stack([-lo * s, hi * c], -1)], -2)
+    layers = blocks[:, N_QUBITS - 1]
+    for q in range(N_QUBITS - 2, -1, -1):
+        size = 2 * layers.shape[-1]
+        layers = (layers[:, :, None, :, None] * blocks[:, q, None, :, None, :]).reshape(-1, size, size)
+    return layers
 
 
 def efficient_su2(state, theta, reps=ANSATZ_REPS):
@@ -157,30 +120,20 @@ def efficient_su2(state, theta, reps=ANSATZ_REPS):
     expected = 2 * N_QUBITS * (reps + 1)
     if theta.shape != (expected,):
         raise BadThetaLengthError(f"theta must have length {expected}, got shape {theta.shape}")
-    pos = 0
-    for rep in range(reps + 1):
-        for q in range(N_QUBITS):
-            state = apply_ry(state, q, theta[pos])
-            pos += 1
-        for q in range(N_QUBITS):
-            state = apply_rz(state, q, theta[pos])
-            pos += 1
-        if rep < reps:
-            for q in range(N_QUBITS - 1):
-                state = apply_cx(state, q, q + 1)
-    return state
-
-
-def state_norm_sq(state):
-    return np.sum(np.abs(state) ** 2, axis=-1)
+    layers = _rotation_layers(theta.reshape(reps + 1, 2, N_QUBITS))
+    # Row states evolve as state @ M, with M the transpose of the unitary.
+    m = layers[0]
+    for layer in layers[1:]:
+        m = m[:, _CX_CHAIN] @ layer
+    return state @ m
 
 
 def z_expectations(state):
     """<Z_i> for every qubit; requires a unit-norm state."""
-    norms = state_norm_sq(state)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise NonNormalizedStateError(f"state norm deviates from 1 by {np.max(np.abs(norms - 1.0)):.3e}")
     probs = np.abs(state) ** 2
+    deviation = np.abs(probs.sum(axis=-1) - 1.0)
+    if np.any(deviation > 1e-9):
+        raise NonNormalizedStateError(f"state norm deviates from 1 by {np.max(deviation):.3e}")
     return probs @ _Z_SIGNS
 
 
@@ -190,10 +143,7 @@ def sampled_z_expectations(state, shots, rng):
         raise QuantumError(f"shots must be >= 1, got {shots}")
     probs = np.abs(state) ** 2
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    if probs.ndim == 1:
-        counts = rng.multinomial(shots, probs)
-        return (counts @ _Z_SIGNS) / shots
-    counts = np.stack([rng.multinomial(shots, row) for row in probs])
+    counts = rng.multinomial(shots, probs)
     return (counts @ _Z_SIGNS) / shots
 
 

@@ -115,13 +115,17 @@ def derive_seed(*keys) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _eval_chunks(fn, windows, chunk):
+    """``fn`` applied to an [N, 256] window array ``chunk`` rows at a time."""
+    return np.concatenate([
+        fn(Tensor(windows[start : start + chunk][:, None, :])).data
+        for start in range(0, len(windows), chunk)
+    ])
+
+
 def model_logits(model, windows, chunk=512):
     """Eval-mode logits for an [N, 256] window array."""
-    out = []
-    for start in range(0, len(windows), chunk):
-        xb = Tensor(windows[start : start + chunk][:, None, :])
-        out.append(model.forward(xb, train=False).data)
-    return np.concatenate(out)
+    return _eval_chunks(lambda xb: model.forward(xb, train=False), windows, chunk)
 
 
 def _fit_adam(model, train_idx, batch_loss, epochs, batch_size, learning_rate, seed):
@@ -209,11 +213,8 @@ class LatentScaler:
 
 
 def encode_latents(ae, windows, chunk=512):
-    out = []
-    for start in range(0, len(windows), chunk):
-        xb = Tensor(windows[start : start + chunk][:, None, :])
-        out.append(ae.encode(xb).data)
-    return np.concatenate(out)
+    """Frozen-encoder latents for an [N, 256] window array."""
+    return _eval_chunks(ae.encode, windows, chunk)
 
 
 def train_vqc(latents, labels, teacher_z, train_idx, kd: KdConfig, steps, batch_size,
@@ -297,8 +298,9 @@ def _predictions_from_logits(logits):
 
 
 def prepare_ae_folds(windows, splits, cfg: RunConfig):
-    """Per-fold frozen autoencoders: scaled latents for the whole dataset,
-    fitted on each fold's training split only."""
+    """Per-fold frozen autoencoders: {fold: (autoencoder, scaler, scaled
+    latents for the whole dataset)}, the scaler fitted on each fold's
+    training split only."""
     cache = {}
     for split in splits:
         seed = derive_seed(cfg.seed, 900, split.fold_index)
@@ -307,7 +309,7 @@ def prepare_ae_folds(windows, splits, cfg: RunConfig):
         )
         raw = encode_latents(ae, windows)
         scaler = LatentScaler.fit(raw[split.train_indices])
-        cache[split.fold_index] = (ae, scaler(raw))
+        cache[split.fold_index] = (ae, scaler, scaler(raw))
     return cache
 
 
@@ -344,17 +346,17 @@ def run_fold(student, windows, labels, teacher_z, split, kd: KdConfig, cfg: RunC
 
 
 def prepare_folds(windows, labels, cfg: RunConfig, students):
-    """The run's stratified splits, plus each fold's frozen autoencoder and
-    scaled latents when ae_vqc is among ``students``.
+    """The run's stratified splits, plus each fold's frozen autoencoder,
+    latent scaler and scaled latents when ae_vqc is among ``students``.
 
-    Returns (splits, {fold: autoencoder}, {fold: latents}); both maps are
-    empty without ae_vqc.
+    Returns (splits, {fold: (autoencoder, scaler)}, {fold: latents}); both
+    maps are empty without ae_vqc.
     """
     splits = stratified_kfold(labels, cfg.folds, seed=cfg.seed)
     cache = prepare_ae_folds(windows, splits, cfg) if "ae_vqc" in students else {}
-    autoencoders = {fold: ae for fold, (ae, _) in cache.items()}
-    latents_by_fold = {fold: latents for fold, (_, latents) in cache.items()}
-    return splits, autoencoders, latents_by_fold
+    encoders = {fold: (ae, scaler) for fold, (ae, scaler, _) in cache.items()}
+    latents_by_fold = {fold: latents for fold, (_, _, latents) in cache.items()}
+    return splits, encoders, latents_by_fold
 
 
 def cell_folds(student, windows, labels, teacher_z, splits, kd: KdConfig, cfg: RunConfig,

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from ecgkd import cli
-from ecgkd.signal import load_window_csv, save_window_csv
+from ecgkd import cli, quantum
 from ecgkd.distill import load_teacher_logits
+from ecgkd.evalkit import METRIC_KEYS, binary_metrics, stratified_kfold
+from ecgkd.models import load_model
+from ecgkd.signal import load_window_csv, save_window_csv
+from ecgkd.training import encode_latents
 
 
 def run_cli(*argv):
@@ -170,6 +174,29 @@ def test_distill_ae_vqc_checkpoints(teacher_setup, small_windows, tmp_path):
     assert (outdir / "fold0.ae.ckpt").exists()
 
 
+def test_distill_ae_vqc_files_reproduce_fold_metrics(teacher_setup, small_windows, tmp_path):
+    # The saved autoencoder, latent scaler and angles alone rebuild fold 0's
+    # validation logits, and with them its report entry.
+    _, logits_path = teacher_setup
+    outdir = tmp_path / "runq"
+    config = {
+        "dataset": small_windows, "teacher_logits": logits_path, "student": "ae_vqc",
+        "ae_epochs": 2, "spsa_steps": 10, "spsa_batch": 16, "batch_size": 16, "folds": 2,
+        "seed": 15, "output_dir": str(outdir),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run_cli("distill", "--config", str(tmp_path / "cfg.json")) == 0
+    samples, labels = load_window_csv(small_windows)
+    val = stratified_kfold(labels, 2, seed=15)[0].val_indices
+    ae = load_model(outdir / "fold0.ae.ckpt")
+    theta, doc = quantum.load_theta(outdir / "fold0.theta.json")
+    latents = (encode_latents(ae, samples[val]) - np.array(doc["latent_mean"])) * np.array(doc["latent_scale"])
+    logits = quantum.vqc_forward_batch(latents, theta)
+    metrics = binary_metrics((logits >= 0).astype(np.int64), labels[val])
+    entry = json.loads((outdir / "report.json").read_text())["entries"][0]
+    assert entry["folds"][0] == {k: metrics[k] for k in METRIC_KEYS}
+
+
 @pytest.mark.parametrize("student", ["cnn1d", "resnet1d", "ae_vqc"])
 def test_distill_entry_equals_one_cell_grid(student, teacher_setup, small_windows, tmp_path):
     _, logits_path = teacher_setup
@@ -255,6 +282,28 @@ def test_grid_small_and_outputs(teacher_setup, small_windows, tmp_path):
         assert (outdir / name).read_bytes() == data, name
     # report command renders the same table
     assert run_cli("report", "--report", str(outdir / "report.json")) == 0
+
+
+# sha256 of report.json from test_golden_grid_report; a change to any
+# student's numerics, the fold splits or the report format changes it.
+GOLDEN_GRID_REPORT_SHA256 = "4f77b090ede64012ef038d7f06d2ddc51d4742efeb78dd7f633fe1a660c45228"
+
+
+def test_golden_grid_report(tmp_path):
+    windows, ckpt, logits = (str(tmp_path / name) for name in ("w.csv", "t.ckpt", "z.csv"))
+    assert run_cli("synth", "--out", windows, "--n", "120", "--noise-sigma", "0.15", "--seed", "41") == 0
+    assert run_cli("teacher", "--windows", windows, "--out", ckpt, "--epochs", "2",
+                   "--batch-size", "32", "--lr", "0.003", "--seed", "42") == 0
+    assert run_cli("logits", "--ckpt", ckpt, "--windows", windows, "--out", logits) == 0
+    config = {
+        "dataset": windows, "teacher_logits": logits, "students": ["cnn1d", "resnet1d", "ae_vqc"],
+        "alphas": [0.5], "temperatures": [2.0], "epochs": 1, "batch_size": 16, "ae_epochs": 3,
+        "spsa_steps": 20, "spsa_batch": 16, "folds": 2, "seed": 43, "output_dir": str(tmp_path / "grid"),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run_cli("grid", "--config", str(tmp_path / "cfg.json")) == 0
+    report = (tmp_path / "grid" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == GOLDEN_GRID_REPORT_SHA256
 
 
 def test_paramcount_json(capsys):

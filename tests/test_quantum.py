@@ -18,38 +18,6 @@ def test_zero_state():
     assert np.sum(np.abs(s) ** 2) == 1.0
 
 
-def test_hadamard_on_single_qubit():
-    s = q.apply_h(q.zero_state(), 0)
-    assert s[0] == pytest.approx(1 / np.sqrt(2))
-    assert s[1] == pytest.approx(1 / np.sqrt(2))
-    assert np.sum(np.abs(s[2:]) ** 2) == 0.0
-
-
-def test_ry_pi_flips():
-    s = q.apply_ry(q.zero_state(), 2, np.pi)
-    assert abs(s[1 << 2]) == pytest.approx(1.0)
-
-
-def test_cx_identity_when_control_zero():
-    s = q.apply_h(q.zero_state(), 3)  # control qubit 0 stays |0>
-    out = q.apply_cx(s, 0, 1)
-    assert np.allclose(out, s)
-
-
-def test_cx_flips_target_when_control_set():
-    s = q.apply_ry(q.zero_state(), 0, np.pi)  # |...001>
-    out = q.apply_cx(s, 0, 5)
-    assert abs(out[(1 << 0) | (1 << 5)]) == pytest.approx(1.0)
-
-
-def test_qubit_index_errors():
-    s = q.zero_state()
-    with pytest.raises(q.BadQubitIndexError):
-        q.apply_h(s, 6)
-    with pytest.raises(q.BadQubitIndexError):
-        q.apply_cx(s, 2, 2)
-
-
 def test_feature_map_at_pi_gives_uniform_state():
     x = np.full(6, np.pi)
     s = q.zz_feature_map(q.zero_state(), x, reps=1)
@@ -198,6 +166,15 @@ def test_batch_matches_single():
     batch = q.vqc_forward_batch(X, theta)
     singles = np.array([q.vqc_forward(x, theta) for x in X])
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+def test_batch_matches_dense_oracle_outside_pi():
+    rng = np.random.default_rng(41)
+    X = rng.uniform(-3 * np.pi, 3 * np.pi, (24, 6))
+    X[0] = [10.0, -8.0, np.pi, -np.pi, 0.0, 4.0]
+    theta = rng.uniform(-np.pi, np.pi, 36)
+    expected = np.array([4.0 * dense_z_expectations(dense_vqc_state(x, theta)).mean() for x in X])
+    assert np.max(np.abs(q.vqc_forward_batch(X, theta) - expected)) < 1e-12
 
 
 def test_shot_noise_mode():

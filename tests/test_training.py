@@ -121,7 +121,7 @@ def test_prepare_ae_folds_no_leakage_inputs(tiny_dataset):
     splits = stratified_kfold(y, 2, seed=3)
     cache = prepare_ae_folds(X, splits, cfg)
     assert set(cache) == {0, 1}
-    for fold, (ae, latents) in cache.items():
+    for fold, (ae, scaler, latents) in cache.items():
         assert latents.shape == (len(y), 6)
 
 
