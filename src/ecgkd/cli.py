@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import evalkit, quantum, signal as sig, synthetic, training
-from .distill import KdConfig, load_teacher_logits, save_teacher_logits
+from .distill import load_teacher_logits, save_teacher_logits
 from .models import (
     ConvAutoencoder,
     Cnn1dStudent,
@@ -148,6 +148,8 @@ def cmd_logits(args):
 
 
 def _load_dataset(cfg: RunConfig):
+    """The config's windows, labels and teacher logits, plus the dataset
+    name; makes the output directory."""
     _require_file(cfg.dataset, "window CSV")
     samples, labels = sig.load_window_csv(cfg.dataset)
     if not cfg.teacher_logits:
@@ -157,42 +159,15 @@ def _load_dataset(cfg: RunConfig):
     for cls in (0, 1):
         if int(np.sum(labels == cls)) < cfg.folds:
             raise ConfigError(f"class {cls} has fewer members than folds={cfg.folds}")
-    return samples, labels, teacher_z
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return samples, labels, teacher_z, os.path.basename(cfg.dataset)
 
 
 def cmd_distill(args):
     cfg = _load_config(args.config)
-    samples, labels, teacher_z = _load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    dataset_name = os.path.basename(cfg.dataset)
-    kd = KdConfig(alpha=cfg.alpha, temperature=cfg.temperature)
-    splits, encoders, latents_by_fold = training.prepare_folds(samples, labels, cfg, (cfg.student,))
-    fold_metrics = []
-    for split, metrics, diagnostics in training.cell_folds(
-        cfg.student, samples, labels, teacher_z, splits, kd, cfg, latents_by_fold
-    ):
-        fold_metrics.append(metrics)
-        stem = os.path.join(cfg.output_dir, f"fold{split.fold_index}")
-        if cfg.student == "ae_vqc":
-            ae, scaler = encoders[split.fold_index]
-            save_model(f"{stem}.ae.ckpt", ae)
-            quantum.save_theta(
-                f"{stem}.theta.json",
-                np.asarray(diagnostics["theta"]),
-                seed=cfg.seed,
-                extra={
-                    "loss_evaluations": diagnostics["loss_evaluations"],
-                    "steps": diagnostics["steps"],
-                    "latent_mean": scaler.mean.tolist(),
-                    "latent_scale": scaler.scale.tolist(),
-                },
-            )
-        else:
-            save_model(f"{stem}.ckpt", diagnostics.pop("model"))
-    report = evalkit.MetricsReport(
-        student=cfg.student, alpha=cfg.alpha, temperature=cfg.temperature,
-        dataset=dataset_name, folds=fold_metrics,
-    ).finalize()
+    cfg.students, cfg.alphas, cfg.temperatures = (cfg.student,), (cfg.alpha,), (cfg.temperature,)
+    samples, labels, teacher_z, dataset_name = _load_dataset(cfg)
+    (report,), _ = training.run_grid(samples, labels, teacher_z, cfg, dataset_name, save_dir=cfg.output_dir)
     doc = evalkit.report_json([report], dataset_name, cfg.seed)
     evalkit.save_report_json(os.path.join(cfg.output_dir, "report.json"), doc)
     m = report.mean
@@ -209,9 +184,7 @@ def cmd_grid(args):
         if args.jobs < 1:
             raise CliValidationError("--jobs must be >= 1")
         cfg.jobs = args.jobs
-    samples, labels, teacher_z = _load_dataset(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    dataset_name = os.path.basename(cfg.dataset)
+    samples, labels, teacher_z, dataset_name = _load_dataset(cfg)
     reports, _ = training.run_grid(samples, labels, teacher_z, cfg, dataset_name)
     text, doc = evalkit.aggregate(
         reports, dataset_name, cfg.seed, students=list(cfg.students),

@@ -42,6 +42,10 @@ class OutOfRangeError(QuantumError):
     pass
 
 
+class BadThetaFileError(QuantumError):
+    pass
+
+
 # _BITS[b, q] = bit q of basis index b
 _BITS = (np.arange(DIM)[:, None] >> np.arange(N_QUBITS)) & 1
 # sign[b, i] = +1 if bit i of b is 0 else -1
@@ -199,11 +203,17 @@ def save_theta(path, theta, seed, extra=None):
 
 
 def load_theta(path):
+    """(theta, document) from a circuit checkpoint.  Text that is not JSON,
+    a missing ``theta`` key or angles that are not numbers raise
+    BadThetaFileError naming ``path``."""
     import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    theta = np.asarray(doc["theta"], dtype=np.float64)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        theta = np.asarray(doc["theta"], dtype=np.float64)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadThetaFileError(f"unreadable circuit checkpoint {path}: {exc!r}") from None
     if theta.shape != (THETA_LENGTH,):
-        raise BadThetaLengthError(f"checkpoint theta has shape {theta.shape}")
+        raise BadThetaLengthError(f"checkpoint theta in {path} has shape {theta.shape}")
     return theta, doc

@@ -8,6 +8,8 @@ pretraining.  Every loop is deterministic given the run seed.
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +25,7 @@ from .evalkit import (
     binary_metrics,
     stratified_kfold,
 )
-from .models import ConvAutoencoder, WideCnnTeacher, build_student
+from .models import ConvAutoencoder, WideCnnTeacher, build_student, save_model
 from .optim import Adam, Spsa, spsa_calibrate
 
 GRID_STUDENTS = ("cnn1d", "resnet1d", "ae_vqc")
@@ -61,13 +63,29 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        for name in ("dataset", "teacher_logits", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string path")
+        for name in _COUNT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("alpha", "temperature", "learning_rate", "ae_learning_rate", "alphas", "temperatures"):
+            value = getattr(self, name)
+            if not all(_is_number(v) for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("students", "alphas", "temperatures"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be a non-empty list")
         if self.student not in GRID_STUDENTS:
             raise ConfigError(f"student must be one of {GRID_STUDENTS}, got {self.student!r}")
         for s in self.students:
             if s not in GRID_STUDENTS:
                 raise ConfigError(f"unknown student {s!r} in students")
+        if not isinstance(self.epochs_overrides, dict) or not all(
+            kind in ("cnn1d", "resnet1d") and _is_int(n) and n >= 1 for kind, n in self.epochs_overrides.items()
+        ):
+            raise ConfigError(f"epochs_overrides must map cnn1d or resnet1d to an integer >= 1, "
+                              f"got {self.epochs_overrides!r}")
         for a in (self.alpha, *self.alphas):
             if not 0.0 <= a <= 1.0:
                 raise ConfigError(f"alpha must be in [0, 1], got {a}")
@@ -87,10 +105,24 @@ class RunConfig:
         return self
 
     def epochs_for(self, kind):
-        return int(self.epochs_overrides.get(kind, self.epochs))
+        return self.epochs_overrides.get(kind, self.epochs)
+
+
+_COUNT_FIELDS = ("seed", "epochs", "batch_size", "ae_epochs", "spsa_steps", "spsa_batch",
+                 "spsa_restarts", "folds", "shot_noise", "jobs")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def config_from_dict(doc) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     unknown = set(doc) - known
     if unknown:
@@ -100,6 +132,8 @@ def config_from_dict(doc) -> RunConfig:
     doc = dict(doc)
     for key in ("students", "alphas", "temperatures"):
         if key in doc:
+            if not isinstance(doc[key], list):
+                raise ConfigError(f"{key} must be a non-empty list")
             doc[key] = tuple(doc[key])
     cfg = RunConfig(**doc)
     return cfg.validate()
@@ -315,7 +349,9 @@ def prepare_ae_folds(windows, splits, cfg: RunConfig):
 
 def run_fold(student, windows, labels, teacher_z, split, kd: KdConfig, cfg: RunConfig,
              latents=None):
-    """Train one grid cell on one fold; returns (metrics, diagnostics)."""
+    """Train one grid cell on one fold; returns (metrics, diagnostics,
+    trained), where ``trained`` is the student model, or for ae_vqc its
+    angles (``latents`` is then the fold's scaled latents)."""
     seed = derive_seed(
         cfg.seed,
         GRID_STUDENTS.index(student),
@@ -324,79 +360,82 @@ def run_fold(student, windows, labels, teacher_z, split, kd: KdConfig, cfg: RunC
         split.fold_index,
     )
     if student == "ae_vqc":
-        if latents is None:
-            raise ConfigError("ae_vqc fold needs precomputed latents")
-        theta, diagnostics = train_vqc_restarts(
+        trained, diagnostics = train_vqc_restarts(
             latents, labels, teacher_z, split.train_indices, kd,
             cfg.spsa_steps, cfg.spsa_batch, seed, shots=cfg.shot_noise,
             init_draws=32, restarts=cfg.spsa_restarts,
         )
-        val_logits = quantum.vqc_forward_batch(latents[split.val_indices], theta)
-        diagnostics["theta"] = theta.tolist()
+        val_logits = quantum.vqc_forward_batch(latents[split.val_indices], trained)
+        diagnostics["theta"] = trained.tolist()
     else:
         epochs = cfg.epochs_for(student)
-        model = train_kd_student(
+        trained = train_kd_student(
             student, windows, labels, teacher_z, split.train_indices, kd,
             epochs, cfg.batch_size, cfg.learning_rate, seed,
         )
-        val_logits = model_logits(model, windows[split.val_indices])
-        diagnostics = {"epochs": epochs, "model": model}
+        val_logits = model_logits(trained, windows[split.val_indices])
+        diagnostics = {"epochs": epochs}
     metrics = binary_metrics(_predictions_from_logits(val_logits), labels[split.val_indices])
-    return metrics, diagnostics
+    return metrics, diagnostics, trained
 
 
-def prepare_folds(windows, labels, cfg: RunConfig, students):
-    """The run's stratified splits, plus each fold's frozen autoencoder,
-    latent scaler and scaled latents when ae_vqc is among ``students``.
-
-    Returns (splits, {fold: (autoencoder, scaler)}, {fold: latents}); both
-    maps are empty without ae_vqc.
-    """
-    splits = stratified_kfold(labels, cfg.folds, seed=cfg.seed)
-    cache = prepare_ae_folds(windows, splits, cfg) if "ae_vqc" in students else {}
-    encoders = {fold: (ae, scaler) for fold, (ae, scaler, _) in cache.items()}
-    latents_by_fold = {fold: latents for fold, (_, _, latents) in cache.items()}
-    return splits, encoders, latents_by_fold
-
-
-def cell_folds(student, windows, labels, teacher_z, splits, kd: KdConfig, cfg: RunConfig,
-               latents_by_fold):
-    """Train one grid cell fold by fold, yielding (split, metrics,
-    diagnostics) as each fold finishes.  A classical student's diagnostics
-    hold its trained model under "model"; consumers drop it before the next
-    fold so at most one fold model is alive."""
-    for split in splits:
-        latents = latents_by_fold.get(split.fold_index)
-        metrics, diagnostics = run_fold(student, windows, labels, teacher_z, split, kd, cfg, latents)
-        yield split, metrics, diagnostics
+def _save_fold(save_dir, fold, student, trained, diagnostics, ae_fold, seed):
+    """Write one fold's student: ``fold{i}.ckpt``, or for ae_vqc the frozen
+    autoencoder ``fold{i}.ae.ckpt`` and the angles with the fold's latent
+    scaler ``fold{i}.theta.json``."""
+    stem = os.path.join(save_dir, f"fold{fold}")
+    if student != "ae_vqc":
+        save_model(f"{stem}.ckpt", trained)
+        return
+    ae, scaler, _ = ae_fold
+    save_model(f"{stem}.ae.ckpt", ae)
+    quantum.save_theta(
+        f"{stem}.theta.json",
+        trained,
+        seed=seed,
+        extra={
+            "loss_evaluations": diagnostics["loss_evaluations"],
+            "steps": diagnostics["steps"],
+            "latent_mean": scaler.mean.tolist(),
+            "latent_scale": scaler.scale.tolist(),
+        },
+    )
 
 
 def _grid_cell(args):
-    student, alpha, temperature, windows, labels, teacher_z, splits, cfg, latents_by_fold = args
+    student, alpha, temperature, windows, labels, teacher_z, splits, cfg, ae_folds, save_dir = args
     kd = KdConfig(alpha=alpha, temperature=temperature)
     fold_metrics = []
     diag = []
-    for _, metrics, diagnostics in cell_folds(student, windows, labels, teacher_z, splits, kd, cfg,
-                                              latents_by_fold):
-        diagnostics.pop("model", None)
+    for split in splits:
+        ae_fold = ae_folds.get(split.fold_index)
+        latents = ae_fold[2] if ae_fold else None
+        metrics, diagnostics, trained = run_fold(student, windows, labels, teacher_z, split, kd, cfg, latents)
+        if save_dir is not None:
+            _save_fold(save_dir, split.fold_index, student, trained, diagnostics, ae_fold, cfg.seed)
+        # Unbind the model now, so it is freed before the next fold trains.
+        del trained
         fold_metrics.append(metrics)
         diag.append(diagnostics)
     return student, alpha, temperature, fold_metrics, diag
 
 
-def run_grid(windows, labels, teacher_z, cfg: RunConfig, dataset_name: str):
+def run_grid(windows, labels, teacher_z, cfg: RunConfig, dataset_name: str, save_dir=None):
     """Full (student x alpha x T) sweep under stratified k-fold validation.
 
     Returns (reports, diagnostics) where diagnostics maps
-    (student, alpha, T) to the per-fold training diagnostics.
+    (student, alpha, T) to the per-fold training diagnostics.  With
+    ``save_dir``, each fold's trained student is written there as the fold
+    finishes (see ``_save_fold``).
     """
-    splits, _, latents_by_fold = prepare_folds(windows, labels, cfg, cfg.students)
+    splits = stratified_kfold(labels, cfg.folds, seed=cfg.seed)
+    ae_cache = prepare_ae_folds(windows, splits, cfg) if "ae_vqc" in cfg.students else {}
     cells = [
         (student, alpha, temperature, windows, labels, teacher_z, splits, cfg,
-         latents_by_fold if student == "ae_vqc" else {})
+         ae_cache if student == "ae_vqc" else {}, save_dir)
         for student in cfg.students for temperature in cfg.temperatures for alpha in cfg.alphas
     ]
-    if cfg.jobs > 1:
+    if cfg.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_grid_cell, cells))
     else:

@@ -231,6 +231,12 @@ def test_distill_bad_config_exit_1(tmp_path):
     assert run_cli("distill", "--config", str(cfg_path)) == 1
 
 
+def test_distill_non_string_dataset_exit_1(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": ["w.csv"], "teacher_logits": "x.csv", "seed": 1}))
+    assert run_cli("distill", "--config", str(cfg_path)) == 1
+
+
 def test_distill_missing_dataset_exit_2(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"dataset": str(tmp_path / "none.csv"),

@@ -211,3 +211,15 @@ def test_theta_checkpoint_roundtrip(tmp_path):
     assert doc["kappa"] == 4.0
     assert doc["ansatz_reps"] == 2
     assert doc["seed"] == 9
+
+
+@pytest.mark.parametrize("text", [
+    '{"theta": ["a"]}',
+    '{"kappa": 4.0}',
+    'not json',
+], ids=["non_numeric_angle", "missing_theta", "not_json"])
+def test_load_theta_bad_file_names_path(tmp_path, text):
+    path = tmp_path / "theta.json"
+    path.write_text(text)
+    with pytest.raises(q.BadThetaFileError, match=str(path)):
+        q.load_theta(path)

@@ -1,6 +1,13 @@
+import gc
+import json
+import os
+import re
+import weakref
+
 import numpy as np
 import pytest
 
+from ecgkd import training
 from ecgkd.distill import KdConfig
 from ecgkd.evalkit import stratified_kfold
 from ecgkd.synthetic import SynthSpec, generate_windows
@@ -42,6 +49,42 @@ def test_config_validation_errors():
     cfg = config_from_dict({"dataset": "x.csv", "seed": 1, "epochs_overrides": {"resnet1d": 1}})
     assert cfg.epochs_for("resnet1d") == 1
     assert cfg.epochs_for("cnn1d") == cfg.epochs
+
+
+@pytest.mark.parametrize("doc", [3, None] + [{"dataset": "x.csv", "seed": 1, **fields} for fields in (
+    {"dataset": 0},
+    {"teacher_logits": 3},
+    {"output_dir": None},
+    {"seed": True},
+    {"folds": 2.5},
+    {"spsa_batch": 1.5},
+    {"epochs": "3"},
+    {"learning_rate": "0.1"},
+    {"learning_rate": float("nan")},
+    {"temperature": float("inf")},
+    {"alpha": True},
+    {"students": []},
+    {"alphas": []},
+    {"temperatures": []},
+    {"alphas": 0.5},
+    {"temperatures": ["2"]},
+    {"epochs_overrides": {"ae_vqc": 2}},
+    {"epochs_overrides": {"cnn1d": 0}},
+    {"epochs_overrides": {"resnet1d": 1.5}},
+    {"epochs_overrides": [1]},
+)], ids=repr)
+def test_config_rejects_mistyped_values(doc):
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
+def test_readme_configs_validate():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        config_from_dict(json.loads(block))
 
 
 def test_derive_seed_stable():
@@ -162,3 +205,25 @@ def test_run_grid_parallel_matches_serial(tiny_dataset):
     serial, _ = run_grid(X, y, tz, RunConfig(**base, jobs=1), "tiny")
     parallel, _ = run_grid(X, y, tz, RunConfig(**base, jobs=2), "tiny")
     assert [r.to_entry() for r in serial] == [r.to_entry() for r in parallel]
+
+
+def test_run_grid_keeps_at_most_one_fold_model_alive(tiny_dataset, tmp_path, monkeypatch):
+    # A resnet1d fold model is tens of MB; a saved fold's model must be freed
+    # before the next fold trains.
+    X, y, tz = tiny_dataset
+    train = training.train_kd_student
+    earlier = []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in earlier), "an earlier fold's model is still alive"
+        model = train(*args, **kwargs)
+        earlier.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(training, "train_kd_student", tracked)
+    cfg = RunConfig(dataset="d", seed=4, students=("cnn1d",), alphas=(0.5,), temperatures=(2.0,),
+                    epochs=1, batch_size=16, folds=3)
+    run_grid(X, y, tz, cfg, "tiny", save_dir=str(tmp_path))
+    assert len(earlier) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fold0.ckpt", "fold1.ckpt", "fold2.ckpt"]
