@@ -363,36 +363,36 @@ def conv_transpose1d(x, weight, bias=None, stride=1, padding=0, output_padding=0
     return _node(out_data, parents, backward_fn)
 
 
-def batchnorm1d(x, gamma, beta, running, mode, eps=1e-5, momentum=0.1):
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def batchnorm1d(x, gamma, beta, running, train):
     """Per-channel batch normalization over the batch and length axes.
 
-    ``running`` is a dict with "mean" and "var" arrays of shape [C]; train
-    mode updates them in place with the given momentum and normalizes with
-    population (biased) batch statistics, eval mode normalizes with the
-    stored running statistics.
+    ``running`` is a dict with "mean" and "var" arrays of shape [C].  In
+    training (``train`` true) it is updated in place with momentum
+    BN_MOMENTUM and the output is normalized with population (biased)
+    batch statistics; in eval mode with the stored running statistics.
     """
     if x.data.ndim != 3:
         raise ShapeMismatchError("batchnorm1d expects x of shape [B, C, L]")
     channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeMismatchError("batchnorm1d: gamma/beta must have shape [C]")
-    if eps <= 0:
-        raise ShapeMismatchError("batchnorm1d: eps must be positive")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm1d: unknown mode {mode!r}")
 
     count = x.shape[0] * x.shape[2]
-    if mode == "train":
+    if train:
         mean = x.data.mean(axis=(0, 2))
         sq = np.einsum("bcl,bcl->c", x.data, x.data, optimize=True) / count
         var = np.maximum(sq - mean * mean, 0.0)
-        running["mean"] = (1.0 - momentum) * running["mean"] + momentum * mean
-        running["var"] = (1.0 - momentum) * running["var"] + momentum * var
+        running["mean"] = (1.0 - BN_MOMENTUM) * running["mean"] + BN_MOMENTUM * mean
+        running["var"] = (1.0 - BN_MOMENTUM) * running["var"] + BN_MOMENTUM * var
     else:
         mean = running["mean"]
         var = running["var"]
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # single fused multiply-add: out = x * scale + shift
     scale = gamma.data * inv_std
     shift = beta.data - mean * scale
@@ -405,7 +405,7 @@ def batchnorm1d(x, gamma, beta, running, mode, eps=1e-5, momentum=0.1):
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            if mode == "train":
+            if train:
                 coeff = gamma.data * inv_std
                 mean_g = g.mean(axis=(0, 2))
                 mean_g_xhat = np.einsum("bcl,bcl->c", g, x_hat, optimize=True) / count
@@ -539,16 +539,13 @@ class ConvTranspose1d(Module):
 
 
 class BatchNorm1d(Module):
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running = {"mean": np.zeros(channels), "var": np.ones(channels)}
 
     def __call__(self, x, train=False):
-        mode = "train" if train else "eval"
-        return batchnorm1d(x, self.gamma, self.beta, self.running, mode, self.eps, self.momentum)
+        return batchnorm1d(x, self.gamma, self.beta, self.running, train)
 
 
 class Linear(Module):
@@ -590,9 +587,10 @@ def save_checkpoint(path, arch, named_arrays):
 def load_checkpoint(path):
     """Read a checkpoint; returns (arch, {name: array}).
 
-    A bad magic, an unreadable header, a payload that is not whole float64
-    values, an entry running past the payload, or trailing data after the
-    last entry raises CheckpointError naming ``path``.
+    A bad magic, an unreadable header (entry names that are not distinct
+    strings, shapes or offsets that are not integers), a payload that is
+    not whole float64 values, or entries that run past the payload, overlap
+    or leave trailing data raise CheckpointError naming ``path``.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
@@ -605,22 +603,34 @@ def load_checkpoint(path):
         arch = header["arch"]
         if not isinstance(arch, str):
             raise TypeError(f"arch must be a string, got {arch!r}")
-        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"])) for e in header["params"]]
-    except (ValueError, KeyError, TypeError) as exc:
+        entries = {}
+        for e in header["params"]:
+            name, shape, offset = e["name"], e["shape"], e["offset"]
+            if not isinstance(name, str) or not all(type(v) is int for v in (*shape, offset)):
+                raise TypeError(f"entry {name!r} needs a string name and integer shape and offset")
+            if name in entries:
+                raise ValueError(f"duplicate entry {name!r}")
+            entries[name] = (offset, tuple(shape))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"unreadable header in {path}: {exc}") from None
     if len(payload) % 8:
         raise CheckpointError(f"payload of {len(payload)} bytes in {path} is not whole float64 values")
     data = np.frombuffer(payload, dtype="<f8")
     arrays = {}
     end = 0
-    for name, shape, start in entries:
+    for name, (start, shape) in sorted(entries.items(), key=lambda item: item[1]):
         size = math.prod(shape)
         if start < 0 or min(shape, default=0) < 0 or start + size > data.size:
             raise CheckpointError(
                 f"entry {name!r} (offset {start}, shape {list(shape)}) runs past the "
                 f"{data.size}-value payload in {path}"
             )
-        arrays[name] = data[start : start + size].reshape(shape).copy()
+        if size and start < end:
+            raise CheckpointError(f"entry {name!r} at offset {start} overlaps the entry before it in {path}")
+        try:
+            arrays[name] = data[start : start + size].reshape(shape).copy()
+        except ValueError as exc:  # more than 64 dims, or dims too large even for an empty array
+            raise CheckpointError(f"entry {name!r} has unusable shape {list(shape)} in {path}: {exc}") from None
         end = max(end, start + size)
     if end != data.size:
         raise CheckpointError(f"{data.size - end} trailing values after the last entry in {path}")

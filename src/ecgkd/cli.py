@@ -116,8 +116,7 @@ def cmd_denoise(args):
     samples, labels = sig.load_window_csv(args.input)
     out = np.empty_like(samples)
     for i, row in enumerate(samples):
-        cleaned = sig.denoise(sig.RawSignal(row, sample_id=str(i)), args.wavelet, args.levels)
-        out[i] = cleaned.samples
+        out[i] = sig.denoise(sig.RawSignal(row), args.wavelet, args.levels).samples
     sig.save_window_csv(args.out, out, labels)
     print(f"denoised {len(labels)} windows -> {args.out}")
     return 0

@@ -158,28 +158,31 @@ def save_teacher_logits(path, logits):
 
 def load_teacher_logits(path, expected_rows: int) -> np.ndarray:
     """Read stored teacher logits; row count must match the dataset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "index,logit":
-            raise DistillError(f"bad header in {path}: expected 'index,logit'")
-        logits = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise DistillError(f"{path}:{line_no}: expected 2 fields")
-            try:
-                index = int(fields[0])
-                z = float(fields[1])
-            except ValueError as exc:
-                raise DistillError(f"{path}:{line_no}: unparsable value ({exc})") from None
-            if index != len(logits):
-                raise DistillError(f"{path}:{line_no}: indices must be 0,1,2,... got {index}")
-            if not np.isfinite(z):
-                raise DistillError(f"{path}:{line_no}: non-finite logit")
-            logits.append(z)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != "index,logit":
+                raise DistillError(f"bad header in {path}: expected 'index,logit'")
+            logits = []
+            for line_no, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != 2:
+                    raise DistillError(f"{path}:{line_no}: expected 2 fields")
+                try:
+                    index = int(fields[0])
+                    z = float(fields[1])
+                except ValueError as exc:
+                    raise DistillError(f"{path}:{line_no}: unparsable value ({exc})") from None
+                if index != len(logits):
+                    raise DistillError(f"{path}:{line_no}: indices must be 0,1,2,... got {index}")
+                if not np.isfinite(z):
+                    raise DistillError(f"{path}:{line_no}: non-finite logit")
+                logits.append(z)
+    except UnicodeDecodeError as exc:
+        raise DistillError(f"{path}: not UTF-8 text ({exc.reason})") from None
     logits = np.array(logits, dtype=np.float64)
     if len(logits) != expected_rows:
         raise RowCountMismatchError(

@@ -46,20 +46,15 @@ class FoldSplit:
     val_indices: np.ndarray
 
 
-def stratified_kfold(labels, k: int = 5, seed: int = 0, groups=None):
+def stratified_kfold(labels, k: int = 5, seed: int = 0):
     """Deterministic stratified k-fold splits.
 
     Indices are shuffled per class with the seed and dealt round-robin, so
-    per-fold class counts deviate from n_class / k by at most one.  When
-    ``groups`` is given, whole groups are assigned to folds instead
-    (greedy balancing of positive counts); the per-class bound then holds
-    only as well as the group structure allows.
+    per-fold class counts deviate from n_class / k by at most one.
     """
     labels = np.asarray(labels)
     if k < 2:
         raise EvalError(f"k must be >= 2, got {k}")
-    if groups is not None:
-        return _grouped_kfold(labels, np.asarray(groups), k, seed)
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(labels), dtype=np.int64)
     for cls in (0, 1):
@@ -74,36 +69,6 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0, groups=None):
         val = all_idx[fold_of == f]
         train = all_idx[fold_of != f]
         splits.append(FoldSplit(fold_index=f, train_indices=train, val_indices=val))
-    return splits
-
-
-def _grouped_kfold(labels, groups, k, seed):
-    if groups.shape != labels.shape:
-        raise LengthMismatchError("groups must align with labels")
-    rng = np.random.default_rng(seed)
-    unique = list(dict.fromkeys(groups.tolist()))
-    rng.shuffle(unique)
-    stats = []
-    for g in unique:
-        mask = groups == g
-        stats.append((g, int(labels[mask].sum()), int(mask.sum())))
-    stats.sort(key=lambda t: (-t[1], -t[2], str(t[0])))
-    pos_per_fold = np.zeros(k)
-    tot_per_fold = np.zeros(k)
-    fold_of_group = {}
-    for g, pos, tot in stats:
-        f = int(np.lexsort((tot_per_fold, pos_per_fold))[0])
-        fold_of_group[g] = f
-        pos_per_fold[f] += pos
-        tot_per_fold[f] += tot
-    fold_of = np.array([fold_of_group[g] for g in groups.tolist()])
-    all_idx = np.arange(len(labels))
-    splits = []
-    for f in range(k):
-        val = all_idx[fold_of == f]
-        if len(val) == 0 or len(val) == len(labels):
-            raise ClassTooSmallError("group structure leaves an empty train or val fold")
-        splits.append(FoldSplit(fold_index=f, train_indices=all_idx[fold_of != f], val_indices=val))
     return splits
 
 
@@ -230,11 +195,7 @@ def render_table(reports, students=None, alphas=DEFAULT_ALPHAS, temperatures=DEF
 def aggregate(reports, dataset: str, seed: int, students=None,
               alphas=DEFAULT_ALPHAS, temperatures=DEFAULT_TEMPERATURES):
     """Rendered text table plus the JSON report document."""
-    if students is None:
-        students = sorted({r.student for r in reports})
-    check_complete(reports, students, alphas, temperatures)
-    text = render_table(reports, students, alphas, temperatures)
-    return text, report_json(reports, dataset, seed)
+    return render_table(reports, students, alphas, temperatures), report_json(reports, dataset, seed)
 
 
 def precision_vs_alpha_rows(reports, dataset: str):

@@ -18,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNorm1d, Conv1d, ConvTranspose1d, Linear, Module, Tensor
 
-STUDENT_KINDS = ("cnn1d", "resnet1d", "ae_vqc")
 LATENT_DIM = 6
 
 
@@ -175,13 +174,12 @@ class ConvAutoencoder(Module):
 
 
 def build_student(kind: str, seed: int = 0):
+    """A fresh backprop student: "cnn1d" or "resnet1d"."""
     if kind == "cnn1d":
         return Cnn1dStudent(seed=seed)
     if kind == "resnet1d":
         return Resnet1dStudent(seed=seed)
-    if kind == "ae_vqc":
-        return ConvAutoencoder(seed=seed)
-    raise ValueError(f"unknown student kind {kind!r}; expected one of {STUDENT_KINDS}")
+    raise ValueError(f"unknown student kind {kind!r}; expected 'cnn1d' or 'resnet1d'")
 
 
 def save_model(path, model):

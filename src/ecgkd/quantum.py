@@ -212,7 +212,7 @@ def load_theta(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         theta = np.asarray(doc["theta"], dtype=np.float64)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise BadThetaFileError(f"unreadable circuit checkpoint {path}: {exc!r}") from None
     if theta.shape != (THETA_LENGTH,):
         raise BadThetaLengthError(f"checkpoint theta in {path} has shape {theta.shape}")

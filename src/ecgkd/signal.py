@@ -1,4 +1,4 @@
-"""Wavelet denoising and fixed-length window construction for single-lead ECG.
+"""Wavelet denoising of single-lead ECG windows, and the window CSV format.
 
 The discrete wavelet transform here is the orthogonal two-channel filter
 bank (haar or db4) run on a symmetric extension of the signal.  Analysis
@@ -9,7 +9,7 @@ is at machine precision for any signal length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class BadNError(SignalError):
 
 
 class NegativeLambdaError(SignalError):
-    pass
-
-
-class WindowTooLongError(SignalError):
     pass
 
 
@@ -84,10 +80,9 @@ def _wavelet_filter(h):
 
 @dataclass(frozen=True)
 class RawSignal:
-    """A finite real signal of length >= 2 with an identifier."""
+    """A finite real signal of length >= 2."""
 
     samples: np.ndarray
-    sample_id: str = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -198,7 +193,7 @@ def dwt_inverse(coeffs: WaveletCoeffs) -> RawSignal:
                 f"band length {len(current)} inconsistent with analyzed length {n}"
             )
         current = _synthesize_once(current, detail, h, g, n)
-    return RawSignal(samples=current, sample_id="reconstructed")
+    return RawSignal(samples=current)
 
 
 def mad_sigma(finest_details) -> float:
@@ -238,61 +233,7 @@ def denoise(signal: RawSignal, wavelet: str = "db4", levels: int = 4) -> RawSign
     sigma = mad_sigma(coeffs.finest_details())
     lam = universal_threshold(sigma, len(signal.samples))
     thresholded = [soft_threshold(d, lam) for d in coeffs.details]
-    clean = WaveletCoeffs(
-        approx=coeffs.approx,
-        details=thresholded,
-        wavelet_name=coeffs.wavelet_name,
-        levels=coeffs.levels,
-        lengths=coeffs.lengths,
-    )
-    out = dwt_inverse(clean)
-    return RawSignal(samples=out.samples, sample_id=signal.sample_id)
-
-
-@dataclass(frozen=True)
-class EcgWindow:
-    """One fixed-length, z-scored signal segment with a binary label."""
-
-    samples: np.ndarray
-    label: int
-    source_id: str = ""
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.shape != (WINDOW_LENGTH,):
-            raise SignalError(f"window must have exactly {WINDOW_LENGTH} samples, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise SignalError("window contains non-finite samples")
-        if self.label not in (0, 1):
-            raise SignalError(f"label must be 0 or 1, got {self.label}")
-        object.__setattr__(self, "samples", samples)
-
-
-def zscore(samples):
-    """Mean 0, population std 1; all-constant input maps to all zeros."""
-    x = np.asarray(samples, dtype=np.float64)
-    centered = x - x.mean()
-    std = x.std()
-    if std < 1e-12:
-        return np.zeros_like(x)
-    return centered / std
-
-
-def make_windows(signal: RawSignal, label: int, length: int = WINDOW_LENGTH, stride: int = WINDOW_LENGTH):
-    """Slice a recording into z-scored windows at the given stride.
-
-    Trailing samples that do not fill a whole window are discarded.
-    """
-    if stride < 1:
-        raise SignalError(f"stride must be >= 1, got {stride}")
-    n = len(signal.samples)
-    if length > n:
-        raise WindowTooLongError(f"window length {length} exceeds signal length {n}")
-    windows = []
-    for i, start in enumerate(range(0, n - length + 1, stride)):
-        chunk = zscore(signal.samples[start : start + length])
-        windows.append(EcgWindow(samples=chunk, label=label, source_id=f"{signal.sample_id}:{i}"))
-    return windows
+    return dwt_inverse(replace(coeffs, details=thresholded))
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +261,33 @@ def save_window_csv(path, samples, labels):
 
 def load_window_csv(path):
     """Read a window CSV; returns (samples [N, 256] float64, labels [N] int)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != WINDOW_HEADER:
-            raise WindowFileError(f"bad header in {path}: expected 'label,s0,...,s255'")
-        samples = []
-        labels = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != WINDOW_LENGTH + 1:
-                raise WindowFileError(f"{path}:{line_no}: expected {WINDOW_LENGTH + 1} fields, got {len(fields)}")
-            try:
-                label = int(fields[0])
-                row = np.array(fields[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise WindowFileError(f"{path}:{line_no}: unparsable value ({exc})") from None
-            if label not in (0, 1):
-                raise WindowFileError(f"{path}:{line_no}: label must be 0 or 1, got {label}")
-            if not np.all(np.isfinite(row)):
-                raise WindowFileError(f"{path}:{line_no}: non-finite sample")
-            samples.append(row)
-            labels.append(label)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != WINDOW_HEADER:
+                raise WindowFileError(f"bad header in {path}: expected 'label,s0,...,s255'")
+            samples = []
+            labels = []
+            for line_no, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != WINDOW_LENGTH + 1:
+                    raise WindowFileError(f"{path}:{line_no}: expected {WINDOW_LENGTH + 1} fields, got {len(fields)}")
+                try:
+                    label = int(fields[0])
+                    row = np.array(fields[1:], dtype=np.float64)
+                except ValueError as exc:
+                    raise WindowFileError(f"{path}:{line_no}: unparsable value ({exc})") from None
+                if label not in (0, 1):
+                    raise WindowFileError(f"{path}:{line_no}: label must be 0 or 1, got {label}")
+                if not np.all(np.isfinite(row)):
+                    raise WindowFileError(f"{path}:{line_no}: non-finite sample")
+                samples.append(row)
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise WindowFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not samples:
         raise WindowFileError(f"{path}: no data rows")
     return np.stack(samples), np.array(labels, dtype=np.int64)

@@ -29,6 +29,7 @@ from .models import ConvAutoencoder, WideCnnTeacher, build_student, save_model
 from .optim import Adam, Spsa, spsa_calibrate
 
 GRID_STUDENTS = ("cnn1d", "resnet1d", "ae_vqc")
+AE_LEARNING_RATE = 2e-3
 
 
 class ConfigError(Exception):
@@ -53,7 +54,6 @@ class RunConfig:
     batch_size: int = 32
     learning_rate: float = 2e-3
     ae_epochs: int = 20
-    ae_learning_rate: float = 2e-3
     spsa_steps: int = 400
     spsa_batch: int = 96
     spsa_restarts: int = 1
@@ -69,7 +69,7 @@ class RunConfig:
         for name in _COUNT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("alpha", "temperature", "learning_rate", "ae_learning_rate", "alphas", "temperatures"):
+        for name in ("alpha", "temperature", "learning_rate", "alphas", "temperatures"):
             value = getattr(self, name)
             if not all(_is_number(v) for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -98,8 +98,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
-        if self.learning_rate <= 0 or self.ae_learning_rate <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
         if self.shot_noise < 0:
             raise ConfigError("shot_noise must be 0 (exact) or a positive shot count")
         return self
@@ -167,7 +167,8 @@ def _fit_adam(model, train_idx, batch_loss, epochs, batch_size, learning_rate, s
 
     Each epoch draws one permutation of ``train_idx`` from
     ``default_rng([seed, 7])``; each minibatch of dataset rows ``idx`` takes
-    one Adam step on ``batch_loss(idx)``.
+    one Adam step on ``batch_loss(idx)``.  Gradients are dropped after the
+    last step, so a fitted model holds only its parameters.
     """
     adam = Adam([t for _, t in model.parameters()], lr=learning_rate)
     rng = np.random.default_rng([seed, 7])
@@ -179,6 +180,7 @@ def _fit_adam(model, train_idx, batch_loss, epochs, batch_size, learning_rate, s
             adam.zero_grad()
             loss.backward()
             adam.step()
+    adam.zero_grad()
     return model
 
 
@@ -339,7 +341,7 @@ def prepare_ae_folds(windows, splits, cfg: RunConfig):
     for split in splits:
         seed = derive_seed(cfg.seed, 900, split.fold_index)
         ae = train_autoencoder(
-            windows, split.train_indices, cfg.ae_epochs, cfg.batch_size, cfg.ae_learning_rate, seed
+            windows, split.train_indices, cfg.ae_epochs, cfg.batch_size, AE_LEARNING_RATE, seed
         )
         raw = encode_latents(ae, windows)
         scaler = LatentScaler.fit(raw[split.train_indices])

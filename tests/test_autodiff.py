@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -271,12 +273,9 @@ def test_batchnorm_gradients_train_and_eval():
 
 
 def test_batchnorm_mode_and_shape_errors():
-    x = Tensor(np.zeros((2, 3, 4)))
     bn = BatchNorm1d(3)
-    with pytest.raises(ValueError):
-        batchnorm1d(x, bn.gamma, bn.beta, bn.running, "warmup")
     with pytest.raises(ShapeMismatchError):
-        batchnorm1d(Tensor(np.zeros((2, 4, 4))), bn.gamma, bn.beta, bn.running, "train")
+        batchnorm1d(Tensor(np.zeros((2, 4, 4))), bn.gamma, bn.beta, bn.running, True)
 
 
 def test_dropout_eval_identity_and_train_scaling():
@@ -377,7 +376,7 @@ def test_checkpoint_unreadable_header(tmp_path):
     blob = _good_checkpoint(path)
     magic, header, payload = blob.split(b"\n", 2)
     for bad in (b"{not json", b"\xff\xfe", b'{"arch": "x"}', b'{"arch": "x", "params": [{"name": "w"}]}',
-                b'{"arch": [1], "params": []}'):
+                b'{"arch": [1], "params": []}', b"[" * 100000):
         path.write_bytes(magic + b"\n" + bad + b"\n" + payload)
         _assert_checkpoint_error(path)
 
@@ -386,4 +385,48 @@ def test_checkpoint_entry_past_payload(tmp_path):
     path = tmp_path / "past.ckpt"
     blob = _good_checkpoint(path)
     path.write_bytes(blob.replace(b'"offset": 6', b'"offset": 7'))
+    _assert_checkpoint_error(path)
+
+
+def _checkpoint_with_entries(path, params, n_values):
+    header = json.dumps({"arch": "test_arch", "params": params}).encode("utf-8")
+    path.write_bytes(b"QDST1\n" + header + b"\n" + np.arange(float(n_values)).astype("<f8").tobytes())
+
+
+def test_checkpoint_duplicate_entry_names(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    _checkpoint_with_entries(path, [{"name": "w", "shape": [6], "offset": 0},
+                                    {"name": "w", "shape": [2], "offset": 6}], 8)
+    _assert_checkpoint_error(path)
+
+
+def test_checkpoint_overlapping_entries(tmp_path):
+    path = tmp_path / "overlap.ckpt"
+    w = {"name": "w", "shape": [6], "offset": 0}
+    _checkpoint_with_entries(path, [w, {"name": "b", "shape": [2], "offset": 6}], 8)
+    assert np.array_equal(load_checkpoint(path)[1]["b"], [6.0, 7.0])
+    _checkpoint_with_entries(path, [w, {"name": "b", "shape": [2], "offset": 4}], 6)
+    _assert_checkpoint_error(path)
+
+
+def test_checkpoint_non_string_entry_name(tmp_path):
+    path = tmp_path / "name.ckpt"
+    for name in (5, ["w"]):
+        _checkpoint_with_entries(path, [{"name": name, "shape": [6], "offset": 0}], 6)
+        _assert_checkpoint_error(path)
+
+
+@pytest.mark.parametrize("shape, offset", [([1.7, 6], 0), ([2, "3"], 0), ([True, 6], 0), ([6], 0.0), ([6], "0")],
+                         ids=["float_dim", "string_dim", "bool_dim", "float_offset", "string_offset"])
+def test_checkpoint_non_integer_shape_or_offset(tmp_path, shape, offset):
+    path = tmp_path / "dims.ckpt"
+    _checkpoint_with_entries(path, [{"name": "w", "shape": shape, "offset": offset}], 6)
+    _assert_checkpoint_error(path)
+
+
+def test_checkpoint_shape_numpy_cannot_build(tmp_path):
+    path = tmp_path / "ndim.ckpt"
+    _checkpoint_with_entries(path, [{"name": "w", "shape": [1] * 70, "offset": 0}], 1)
+    _assert_checkpoint_error(path)
+    _checkpoint_with_entries(path, [{"name": "w", "shape": [0, 2 ** 70], "offset": 0}], 0)
     _assert_checkpoint_error(path)

@@ -312,6 +312,18 @@ def test_golden_grid_report(tmp_path):
     assert hashlib.sha256(report).hexdigest() == GOLDEN_GRID_REPORT_SHA256
 
 
+# sha256 of `denoise` output over a seeded synth file; pins the wavelet
+# shrinkage and the window CSV writer byte for byte.
+GOLDEN_DENOISE_SHA256 = "e9c10f8efcbc8dec52bc18eee9e01219242c375110d0addc96710f25205beb80"
+
+
+def test_golden_denoise(tmp_path):
+    windows, out = str(tmp_path / "w.csv"), tmp_path / "d.csv"
+    assert run_cli("synth", "--out", windows, "--n", "60", "--noise-sigma", "0.2", "--seed", "44") == 0
+    assert run_cli("denoise", "--input", windows, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DENOISE_SHA256
+
+
 def test_paramcount_json(capsys):
     assert run_cli("paramcount", "--json") == 0
     doc = json.loads(capsys.readouterr().out)

@@ -201,6 +201,13 @@ def test_teacher_logits_row_count_mismatch(tmp_path):
         load_teacher_logits(path, expected_rows=3)
 
 
+def test_teacher_logits_non_utf8_names_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"index,logit\n0,0.5\n1,\xb51.0\n")
+    with pytest.raises(DistillError, match="latin1.csv"):
+        load_teacher_logits(path, expected_rows=2)
+
+
 def _softplus_ref(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 

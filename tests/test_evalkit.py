@@ -74,16 +74,6 @@ def test_class_too_small():
         stratified_kfold(labels, 5, seed=0)
 
 
-def test_grouped_folds_keep_groups_together():
-    labels = np.array([0, 0, 1, 1] * 10)
-    groups = np.repeat(np.arange(10), 4)
-    splits = stratified_kfold(labels, 5, seed=2, groups=groups)
-    for s in splits:
-        val_groups = set(groups[s.val_indices])
-        train_groups = set(groups[s.train_indices])
-        assert not val_groups & train_groups
-
-
 def test_binary_metrics_all_correct():
     m = binary_metrics([1, 0, 1, 0], [1, 0, 1, 0])
     assert m == {"accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0}

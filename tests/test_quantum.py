@@ -217,7 +217,9 @@ def test_theta_checkpoint_roundtrip(tmp_path):
     '{"theta": ["a"]}',
     '{"kappa": 4.0}',
     'not json',
-], ids=["non_numeric_angle", "missing_theta", "not_json"])
+    '{"theta": [' + "9" * 400 + ']}',
+    "[" * 100000,
+], ids=["non_numeric_angle", "missing_theta", "not_json", "angle_overflows_float", "deeply_nested"])
 def test_load_theta_bad_file_names_path(tmp_path, text):
     path = tmp_path / "theta.json"
     path.write_text(text)

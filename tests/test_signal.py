@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ecgkd.signal import (
     BadNError,
-    EcgWindow,
     EmptyInputError,
     MalformedCoeffsError,
     NegativeLambdaError,
@@ -14,17 +13,15 @@ from ecgkd.signal import (
     TooShortError,
     UnknownWaveletError,
     WaveletCoeffs,
-    WindowTooLongError,
+    WindowFileError,
     denoise,
     dwt_forward,
     dwt_inverse,
     load_window_csv,
     mad_sigma,
-    make_windows,
     save_window_csv,
     soft_threshold,
     universal_threshold,
-    zscore,
 )
 
 
@@ -171,37 +168,6 @@ def test_denoise_near_idempotent_on_smooth_signal():
     assert np.max(np.abs(twice.samples - once.samples)) < 1e-6
 
 
-def test_make_windows_tiling_and_remainder():
-    sig = RawSignal(np.arange(512.0), sample_id="a")
-    assert len(make_windows(sig, 0, stride=256)) == 2
-    sig300 = RawSignal(np.arange(300.0), sample_id="b")
-    assert len(make_windows(sig300, 1, stride=256)) == 1
-    with pytest.raises(WindowTooLongError):
-        make_windows(RawSignal(np.arange(100.0)), 0, stride=10)
-
-
-def test_make_windows_zscore():
-    rng = np.random.default_rng(0)
-    sig = RawSignal(rng.standard_normal(1024) * 5 + 2)
-    for w in make_windows(sig, 1, stride=256):
-        assert abs(w.samples.mean()) < 1e-9
-        assert abs(w.samples.std() - 1.0) < 1e-6
-
-
-def test_constant_window_normalizes_to_zero():
-    sig = RawSignal(np.full(256, 9.9))
-    (w,) = make_windows(sig, 0, stride=256)
-    assert np.all(w.samples == 0.0)
-    assert zscore(np.full(4, 1.0)) == pytest.approx([0, 0, 0, 0])
-
-
-def test_ecg_window_invariants():
-    with pytest.raises(SignalError):
-        EcgWindow(np.zeros(255), 0)
-    with pytest.raises(SignalError):
-        EcgWindow(np.zeros(256), 2)
-
-
 def test_window_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     samples = rng.standard_normal((7, 256))
@@ -222,3 +188,11 @@ def test_window_csv_row_errors(tmp_path):
     with pytest.raises(Exception) as err:
         load_window_csv(path)
     assert ":2:" in str(err.value)
+
+
+def test_window_csv_non_utf8_names_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    header = "label," + ",".join(f"s{i}" for i in range(256))
+    path.write_bytes(header.encode() + b"\n0," + b",".join([b"0.0"] * 255) + b",\xb5\n")
+    with pytest.raises(WindowFileError, match="latin1.csv"):
+        load_window_csv(path)

@@ -46,6 +46,8 @@ def test_config_validation_errors():
         config_from_dict({"dataset": "x.csv", "seed": 1, "folds": 1})
     with pytest.raises(ConfigError):
         config_from_dict({"dataset": "x.csv", "seed": 1, "quantum_volume": 2})
+    with pytest.raises(ConfigError, match="ae_learning_rate"):
+        config_from_dict({"dataset": "x.csv", "seed": 1, "ae_learning_rate": 1e-3})
     cfg = config_from_dict({"dataset": "x.csv", "seed": 1, "epochs_overrides": {"resnet1d": 1}})
     assert cfg.epochs_for("resnet1d") == 1
     assert cfg.epochs_for("cnn1d") == cfg.epochs
@@ -124,6 +126,19 @@ def test_alpha_one_ignores_teacher(tiny_dataset):
     b = train_kd_student("cnn1d", X, y, -tz * 3.7, idx, kd, epochs=1, batch_size=16,
                          learning_rate=1e-3, seed=3)
     assert np.array_equal(model_logits(a, X), model_logits(b, X))
+
+
+def test_fitted_models_hold_no_gradients(tiny_dataset):
+    X, y, tz = tiny_dataset
+    idx = np.arange(len(y))
+    models = [
+        train_teacher(X, y, epochs=1, batch_size=32, seed=2),
+        train_kd_student("cnn1d", X, y, tz, idx, KdConfig(alpha=0.5, temperature=2.0), epochs=1,
+                         batch_size=32, learning_rate=1e-3, seed=2),
+        train_autoencoder(X, idx, epochs=1, batch_size=32, learning_rate=2e-3, seed=2),
+    ]
+    for model in models:
+        assert all(t.grad is None for _, t in model.parameters())
 
 
 def test_latent_scaler_standardizes():
