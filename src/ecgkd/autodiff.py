@@ -165,8 +165,7 @@ def neg(a):
     a = _as_tensor(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(-g)
+        a._accumulate(-g)
 
     return _node(-a.data, (a,), backward_fn)
 
@@ -176,8 +175,7 @@ def reshape(a, shape):
     old_shape = a.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old_shape))
+        a._accumulate(g.reshape(old_shape))
 
     return _node(a.data.reshape(shape), (a,), backward_fn)
 
@@ -187,8 +185,7 @@ def mean_all(a):
     n = a.size
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.shape, float(g) / n))
+        a._accumulate(np.full(a.shape, float(g) / n))
 
     return _node(a.data.mean(), (a,), backward_fn)
 
@@ -198,8 +195,7 @@ def relu(a):
     out_data = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * (out_data > 0))
+        a._accumulate(g * (out_data > 0))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -218,8 +214,7 @@ def sigmoid(a):
     out_data = _sigmoid(a.data)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
+        a._accumulate(g * out_data * (1.0 - out_data))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -233,8 +228,7 @@ def softplus(a):
     sig = _sigmoid(a.data)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * sig)
+        a._accumulate(g * sig)
 
     return _node(_softplus(a.data), (a,), backward_fn)
 
@@ -400,17 +394,17 @@ def batchnorm1d(x, gamma, beta, running, train):
 
     def backward_fn(g):
         x_hat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
+        g_sum = g.sum(axis=(0, 2))
+        g_xhat_sum = np.einsum("bcl,bcl->c", g, x_hat, optimize=True)
         if gamma.requires_grad:
-            gamma._accumulate(np.einsum("bcl,bcl->c", g, x_hat, optimize=True))
+            gamma._accumulate(g_xhat_sum)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2)))
+            beta._accumulate(g_sum)
         if x.requires_grad:
             if train:
                 coeff = gamma.data * inv_std
-                mean_g = g.mean(axis=(0, 2))
-                mean_g_xhat = np.einsum("bcl,bcl->c", g, x_hat, optimize=True) / count
                 gx = coeff[None, :, None] * (
-                    g - mean_g[None, :, None] - x_hat * mean_g_xhat[None, :, None]
+                    g - (g_sum / count)[None, :, None] - x_hat * (g_xhat_sum / count)[None, :, None]
                 )
             else:
                 gx = g * (gamma.data * inv_std)[None, :, None]
@@ -426,8 +420,7 @@ def global_avg_pool(x):
     length = x.shape[2]
 
     def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.repeat(g[:, :, None], length, axis=2) / length)
+        x._accumulate(np.repeat(g[:, :, None], length, axis=2) / length)
 
     return _node(x.data.mean(axis=2), (x,), backward_fn)
 
@@ -444,8 +437,7 @@ def dropout(x, rate, train, rng=None):
     mask = (rng.random(x.shape) < keep) / keep
 
     def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
+        x._accumulate(g * mask)
 
     return _node(x.data * mask, (x,), backward_fn)
 

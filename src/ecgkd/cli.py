@@ -123,8 +123,8 @@ def cmd_denoise(args):
 
 
 def cmd_teacher(args):
-    if args.epochs < 1 or args.batch_size < 1 or args.lr <= 0:
-        raise CliValidationError("epochs and batch-size must be >= 1 and lr positive")
+    if args.epochs < 1 or args.batch_size < 1 or args.lr <= 0 or args.seed < 0:
+        raise CliValidationError("epochs and batch-size must be >= 1, lr positive and seed >= 0")
     _require_file(args.windows, "window CSV")
     samples, labels = sig.load_window_csv(args.windows)
     model = training.train_teacher(samples, labels, args.epochs, args.batch_size, args.lr, args.seed)
@@ -185,10 +185,8 @@ def cmd_grid(args):
         cfg.jobs = args.jobs
     samples, labels, teacher_z, dataset_name = _load_dataset(cfg)
     reports, _ = training.run_grid(samples, labels, teacher_z, cfg, dataset_name)
-    text, doc = evalkit.aggregate(
-        reports, dataset_name, cfg.seed, students=list(cfg.students),
-        alphas=cfg.alphas, temperatures=cfg.temperatures,
-    )
+    text = evalkit.render_table(reports, list(cfg.students), cfg.alphas, cfg.temperatures)
+    doc = evalkit.report_json(reports, dataset_name, cfg.seed)
     evalkit.save_report_json(os.path.join(cfg.output_dir, "report.json"), doc)
     with open(os.path.join(cfg.output_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -192,12 +192,6 @@ def render_table(reports, students=None, alphas=DEFAULT_ALPHAS, temperatures=DEF
     return "\n".join(lines).rstrip() + "\n"
 
 
-def aggregate(reports, dataset: str, seed: int, students=None,
-              alphas=DEFAULT_ALPHAS, temperatures=DEFAULT_TEMPERATURES):
-    """Rendered text table plus the JSON report document."""
-    return render_table(reports, students, alphas, temperatures), report_json(reports, dataset, seed)
-
-
 def precision_vs_alpha_rows(reports, dataset: str):
     """Plot-ready rows (student, dataset, T, alpha, precision), one per cell."""
     rows = []

@@ -71,8 +71,8 @@ class WideCnnTeacher(Cnn1dStudent):
 
     arch = "wide_cnn_teacher"
 
-    def __init__(self, seed=0, dropout=0.3):
-        super().__init__(seed=seed, dropout=dropout, width=4)
+    def __init__(self, seed=0):
+        super().__init__(seed=seed, width=4)
         # Rebuild the first block with stride 4 (same parameter count).
         self.blocks[0] = _Block(1, 4 * self.channels[0], kernel=5, stride=4, padding=2, rng=self.rng)
 
@@ -186,7 +186,7 @@ def save_model(path, model):
     ad.save_checkpoint(path, model.arch, model.state_items())
 
 
-def load_model(path, seed: int = 0):
+def load_model(path):
     arch, arrays = ad.load_checkpoint(path)
     builders = {
         "cnn1d": Cnn1dStudent,
@@ -196,6 +196,6 @@ def load_model(path, seed: int = 0):
     }
     if arch not in builders:
         raise ad.CheckpointError(f"unknown architecture {arch!r} in {path}")
-    model = builders[arch](seed=seed)
+    model = builders[arch]()
     model.load_state(arrays)
     return model

@@ -72,21 +72,16 @@ def zero_state(batch=None):
     return state
 
 
-def clamp_features(x):
-    """Phase encodings are 2*pi periodic; clamping prevents aliasing."""
-    return np.clip(np.asarray(x, dtype=np.float64), -np.pi, np.pi)
-
-
 def zz_feature_map(state, x, reps=FEATURE_MAP_REPS):
     """Data-encoding circuit: Hadamards, single-qubit phases 2*x_i, and
     pairwise phases 2*(pi - x_i)*(pi - x_j) on adjacent qubits.
 
     ``x`` has shape [6] or [B, 6] matching the state's batch axes; inputs
-    are clamped to [-pi, pi] before encoding.
+    are clamped to [-pi, pi] so that the 2*pi periodic phases do not alias.
     """
     if reps < 1:
         raise BadRepsError(f"reps must be >= 1, got {reps}")
-    x = clamp_features(x)
+    x = np.clip(np.asarray(x, dtype=np.float64), -np.pi, np.pi)
     if x.shape[-1] != N_QUBITS:
         raise QuantumError(f"feature vector must have length {N_QUBITS}, got {x.shape}")
     weights = np.concatenate([x, (np.pi - x[..., :-1]) * (np.pi - x[..., 1:])], axis=-1)
@@ -161,13 +156,14 @@ def vqc_logit(expectations, scale=LOGIT_SCALE):
     return scale * z.mean(axis=-1)
 
 
-def vqc_forward_batch(x, theta, shots=None, rng=None):
-    """Circuit logits for a batch of feature vectors [B, 6] -> [B]."""
+def vqc_forward_batch(x, theta, shots=0, rng=None):
+    """Circuit logits for a batch of feature vectors [B, 6] -> [B]; ``shots``
+    0 reads the exact expectations, a positive count samples that many."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     state = zero_state(batch=x.shape[0])
     state = zz_feature_map(state, x, reps=FEATURE_MAP_REPS)
     state = efficient_su2(state, theta, reps=ANSATZ_REPS)
-    if shots is None:
+    if shots == 0:
         z = z_expectations(state)
     else:
         if rng is None:
@@ -176,7 +172,7 @@ def vqc_forward_batch(x, theta, shots=None, rng=None):
     return vqc_logit(z)
 
 
-def vqc_forward(x, theta, shots=None, rng=None):
+def vqc_forward(x, theta, shots=0, rng=None):
     """Single-sample logit: |0>^6 -> feature map -> ansatz -> Z readout."""
     return float(vqc_forward_batch(np.asarray(x, dtype=np.float64)[None, :], theta, shots, rng)[0])
 
@@ -204,7 +200,7 @@ def save_theta(path, theta, seed, extra=None):
 
 def load_theta(path):
     """(theta, document) from a circuit checkpoint.  Text that is not JSON,
-    a missing ``theta`` key or angles that are not numbers raise
+    a missing ``theta`` key or angles that are not finite numbers raise
     BadThetaFileError naming ``path``."""
     import json
 
@@ -216,4 +212,6 @@ def load_theta(path):
         raise BadThetaFileError(f"unreadable circuit checkpoint {path}: {exc!r}") from None
     if theta.shape != (THETA_LENGTH,):
         raise BadThetaLengthError(f"checkpoint theta in {path} has shape {theta.shape}")
+    if not all(type(v) in (int, float) for v in doc["theta"]) or not np.all(np.isfinite(theta)):
+        raise BadThetaFileError(f"circuit checkpoint {path} has angles that are not finite numbers")
     return theta, doc

@@ -108,9 +108,6 @@ class WaveletCoeffs:
     levels: int
     lengths: list = field(default_factory=list)
 
-    def finest_details(self):
-        return self.details[-1]
-
 
 def _analyze_once(x, h, g):
     length = len(h)
@@ -230,7 +227,7 @@ def denoise(signal: RawSignal, wavelet: str = "db4", levels: int = 4) -> RawSign
     untouched.
     """
     coeffs = dwt_forward(signal, wavelet, levels)
-    sigma = mad_sigma(coeffs.finest_details())
+    sigma = mad_sigma(coeffs.details[-1])
     lam = universal_threshold(sigma, len(signal.samples))
     thresholded = [soft_threshold(d, lam) for d in coeffs.details]
     return dwt_inverse(replace(coeffs, details=thresholded))

@@ -50,6 +50,8 @@ class SynthSpec:
             raise BadSpecError(f"balance must be in (0, 1), got {self.balance}")
         if self.noise_sigma < 0:
             raise BadSpecError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise BadSpecError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _bump_window(rng, label):

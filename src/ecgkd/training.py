@@ -30,6 +30,8 @@ from .optim import Adam, Spsa, spsa_calibrate
 
 GRID_STUDENTS = ("cnn1d", "resnet1d", "ae_vqc")
 AE_LEARNING_RATE = 2e-3
+EVAL_CHUNK = 512  # rows per eval-mode forward pass
+INIT_DRAWS = 32  # random angle vectors screened before SPSA starts
 
 
 class ConfigError(Exception):
@@ -100,6 +102,8 @@ class RunConfig:
             raise ConfigError("folds must be >= 2")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.shot_noise < 0:
             raise ConfigError("shot_noise must be 0 (exact) or a positive shot count")
         return self
@@ -149,17 +153,17 @@ def derive_seed(*keys) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_chunks(fn, windows, chunk):
-    """``fn`` applied to an [N, 256] window array ``chunk`` rows at a time."""
+def _eval_chunks(fn, windows):
+    """``fn`` applied to an [N, 256] window array EVAL_CHUNK rows at a time."""
     return np.concatenate([
-        fn(Tensor(windows[start : start + chunk][:, None, :])).data
-        for start in range(0, len(windows), chunk)
+        fn(Tensor(windows[start : start + EVAL_CHUNK][:, None, :])).data
+        for start in range(0, len(windows), EVAL_CHUNK)
     ])
 
 
-def model_logits(model, windows, chunk=512):
+def model_logits(model, windows):
     """Eval-mode logits for an [N, 256] window array."""
-    return _eval_chunks(lambda xb: model.forward(xb, train=False), windows, chunk)
+    return _eval_chunks(lambda xb: model.forward(xb, train=False), windows)
 
 
 def _fit_adam(model, train_idx, batch_loss, epochs, batch_size, learning_rate, seed):
@@ -248,19 +252,18 @@ class LatentScaler:
         return (latents - self.mean) * self.scale
 
 
-def encode_latents(ae, windows, chunk=512):
+def encode_latents(ae, windows):
     """Frozen-encoder latents for an [N, 256] window array."""
-    return _eval_chunks(ae.encode, windows, chunk)
+    return _eval_chunks(ae.encode, windows)
 
 
-def train_vqc(latents, labels, teacher_z, train_idx, kd: KdConfig, steps, batch_size,
-              seed, shots=0, init_draws=32):
+def train_vqc(latents, labels, teacher_z, train_idx, kd: KdConfig, steps, batch_size, seed, shots=0):
     """SPSA training of the 36 circuit angles on the mixed objective.
 
-    Initialization screens ``init_draws`` random angle vectors on one
-    minibatch and starts from the best.  After gain calibration each SPSA
-    step makes exactly two loss evaluations on one shared minibatch.
-    Returns (theta, diagnostics).
+    Initialization screens INIT_DRAWS random angle vectors on one minibatch
+    and starts from the best.  After gain calibration each SPSA step makes
+    exactly two loss evaluations on one shared minibatch; ``shots`` 0
+    reads the circuit exactly.  Returns (theta, diagnostics).
     """
     rng = np.random.default_rng([seed, 13])
     shot_rng = np.random.default_rng([seed, 17]) if shots else None
@@ -272,10 +275,10 @@ def train_vqc(latents, labels, teacher_z, train_idx, kd: KdConfig, steps, batch_
     def loss_fn(angles):
         counter["evals"] += 1
         idx = holder["idx"]
-        z = quantum.vqc_forward_batch(latents[idx], angles, shots=shots or None, rng=shot_rng)
+        z = quantum.vqc_forward_batch(latents[idx], angles, shots=shots, rng=shot_rng)
         return kd_loss_vector(z, teacher_z[idx], labels[idx], kd)
 
-    candidates = rng.uniform(-np.pi, np.pi, size=(init_draws, quantum.THETA_LENGTH))
+    candidates = rng.uniform(-np.pi, np.pi, size=(INIT_DRAWS, quantum.THETA_LENGTH))
     theta = min(candidates, key=loss_fn)
     init_evals = counter["evals"]
     a, c, big_a = spsa_calibrate(loss_fn, theta, iterations=steps, seed=derive_seed(seed, 19))
@@ -297,7 +300,7 @@ def train_vqc(latents, labels, teacher_z, train_idx, kd: KdConfig, steps, batch_
 
 
 def train_vqc_restarts(latents, labels, teacher_z, train_idx, kd: KdConfig, steps,
-                       batch_size, seed, shots=0, init_draws=32, restarts=1):
+                       batch_size, seed, shots=0, restarts=1):
     """Best of several independent SPSA runs, chosen by training-set loss.
 
     The optimizer's stochastic trajectory occasionally stalls in a poor
@@ -307,10 +310,8 @@ def train_vqc_restarts(latents, labels, teacher_z, train_idx, kd: KdConfig, step
     """
     best = None
     for r in range(restarts):
-        theta, diag = train_vqc(
-            latents, labels, teacher_z, train_idx, kd, steps, batch_size,
-            derive_seed(seed, 31, r), shots=shots, init_draws=init_draws,
-        )
+        theta, diag = train_vqc(latents, labels, teacher_z, train_idx, kd, steps, batch_size,
+                                derive_seed(seed, 31, r), shots=shots)
         z = quantum.vqc_forward_batch(latents[train_idx], theta)
         train_loss = kd_loss_vector(z, teacher_z[train_idx], labels[train_idx], kd)
         if best is None or train_loss < best[0]:
@@ -326,11 +327,6 @@ def train_vqc_restarts(latents, labels, teacher_z, train_idx, kd: KdConfig, step
 # ---------------------------------------------------------------------------
 # Fold / grid orchestration
 # ---------------------------------------------------------------------------
-
-
-def _predictions_from_logits(logits):
-    # sigmoid(z) >= 0.5 is exactly z >= 0
-    return (np.asarray(logits) >= 0.0).astype(np.int64)
 
 
 def prepare_ae_folds(windows, splits, cfg: RunConfig):
@@ -364,8 +360,7 @@ def run_fold(student, windows, labels, teacher_z, split, kd: KdConfig, cfg: RunC
     if student == "ae_vqc":
         trained, diagnostics = train_vqc_restarts(
             latents, labels, teacher_z, split.train_indices, kd,
-            cfg.spsa_steps, cfg.spsa_batch, seed, shots=cfg.shot_noise,
-            init_draws=32, restarts=cfg.spsa_restarts,
+            cfg.spsa_steps, cfg.spsa_batch, seed, shots=cfg.shot_noise, restarts=cfg.spsa_restarts,
         )
         val_logits = quantum.vqc_forward_batch(latents[split.val_indices], trained)
         diagnostics["theta"] = trained.tolist()
@@ -377,7 +372,8 @@ def run_fold(student, windows, labels, teacher_z, split, kd: KdConfig, cfg: RunC
         )
         val_logits = model_logits(trained, windows[split.val_indices])
         diagnostics = {"epochs": epochs}
-    metrics = binary_metrics(_predictions_from_logits(val_logits), labels[split.val_indices])
+    # sigmoid(z) >= 0.5 is exactly z >= 0
+    metrics = binary_metrics((val_logits >= 0.0).astype(np.int64), labels[split.val_indices])
     return metrics, diagnostics, trained
 
 

@@ -60,6 +60,14 @@ def test_synth_validation_exit_code(tmp_path):
     assert run_cli("synth", "--out", str(tmp_path / "w.csv"), "--n", "60") == 1  # seed required
 
 
+@pytest.mark.parametrize("command", ["synth", "teacher"])
+def test_negative_seed_exit_1(command, small_windows, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    argv = {"synth": ["--out", out, "--n", "60"], "teacher": ["--windows", small_windows, "--out", out]}
+    assert run_cli(command, *argv[command], "--seed", "-3") == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_denoise_preserves_rows_and_labels(small_windows, tmp_path):
     out = tmp_path / "den.csv"
     assert run_cli("denoise", "--input", small_windows, "--out", str(out)) == 0
@@ -322,6 +330,38 @@ def test_golden_denoise(tmp_path):
     assert run_cli("synth", "--out", windows, "--n", "60", "--noise-sigma", "0.2", "--seed", "44") == 0
     assert run_cli("denoise", "--input", windows, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DENOISE_SHA256
+
+
+# sha256 of the files of a seeded 2-fold ae_vqc distill, read exactly
+# (shot_noise 0) and with 64 shots; pins the SPSA gains and exponents, the
+# initial angle screen and the shot-noise path through a config.
+GOLDEN_AE_VQC_SHA256 = {
+    0: {
+        "fold0.theta.json": "3d262d07641892b22ae2b72614a35114191d0a079193ff373001ff7fed7ea055",
+        "fold1.theta.json": "1a62a97f04914a4260e3e5cd956cf98199fa784dea6fa67088741da0c804ea16",
+        "report.json": "70808555cf39a2b88dbc3495028df14d7bc6e21b4290940e41027376950460df",
+    },
+    64: {
+        "fold0.theta.json": "6dfd9c48d3e2bd6f80d150dc292acb7650685c3fe5c4e413488184048ff4a67c",
+        "fold1.theta.json": "c5ec2645806aa7801b98804b0f9a3902f0e6eeb7a188bc17733a5dee59054cf0",
+        "report.json": "88774225f0fb28a7c98e3b33327d9124ec2d2c6219193ec4f24ed468bba189ff",
+    },
+}
+
+
+def test_golden_distill_ae_vqc(teacher_setup, small_windows, tmp_path):
+    _, logits_path = teacher_setup
+    for shots, digests in GOLDEN_AE_VQC_SHA256.items():
+        outdir = tmp_path / f"shots{shots}"
+        config = {
+            "dataset": small_windows, "teacher_logits": logits_path, "student": "ae_vqc",
+            "ae_epochs": 2, "spsa_steps": 15, "spsa_batch": 16, "batch_size": 16, "folds": 2,
+            "seed": 16, "shot_noise": shots, "output_dir": str(outdir),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli("distill", "--config", str(tmp_path / "cfg.json")) == 0
+        got = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests, shots
 
 
 def test_paramcount_json(capsys):

@@ -9,7 +9,6 @@ from ecgkd.evalkit import (
     IncompleteGridError,
     LengthMismatchError,
     MetricsReport,
-    aggregate,
     binary_metrics,
     check_complete,
     mean_metrics,
@@ -204,7 +203,7 @@ def test_incomplete_grid_raises():
     with pytest.raises(IncompleteGridError):
         check_complete(reports, ["cnn1d", "resnet1d"])
     with pytest.raises(IncompleteGridError):
-        aggregate(reports, "synth", 0, students=["cnn1d", "resnet1d"])
+        render_table(reports, students=["cnn1d", "resnet1d"])
 
 
 def test_report_json_roundtrip():

@@ -1,11 +1,13 @@
-"""Fuzzing of the four file parsers.
+"""Fuzzing of the four file parsers and of the run config.
 
 Random bytes, mutated valid files and random JSON documents must either
 load or raise the parser's typed error naming the file; any other
-exception is a parser gap.
+exception is a parser gap.  Random config documents must give a RunConfig
+whose values are in range, or raise ConfigError.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ecgkd.autodiff import AutodiffError, load_checkpoint, save_checkpoint
 from ecgkd.distill import DistillError, load_teacher_logits, save_teacher_logits
 from ecgkd.quantum import QuantumError, load_theta, save_theta
 from ecgkd.signal import SignalError, load_window_csv, save_window_csv
+from ecgkd.training import GRID_STUDENTS, ConfigError, RunConfig, config_from_dict
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -135,3 +138,43 @@ def test_checkpoint_headers_load_or_raise_typed_error(arch, params, n_values, wo
        | st.fixed_dictionaries({"theta": JSON_VALUES}) | JSON_VALUES)
 def test_theta_documents_load_or_raise_typed_error(doc, workdir):
     _load_or_typed_error("theta", workdir / "doc.theta", json.dumps(doc).encode("utf-8"))
+
+
+_COUNTS = st.integers(-1, 4)
+_REALS = st.floats(-0.5, 4.0)
+# Values mostly of each field's type and near its bounds, so that many
+# documents validate; mistyped values come from the dictionaries over
+# JSON_VALUES below.
+_CONFIG_VALUES = {
+    **{name: st.text(max_size=4) for name in ("teacher_logits", "output_dir")},
+    **{name: _COUNTS for name in ("epochs", "batch_size", "ae_epochs", "spsa_steps", "spsa_batch",
+                                  "spsa_restarts", "folds", "shot_noise", "jobs")},
+    **{name: _REALS for name in ("alpha", "temperature", "learning_rate")},
+    "student": st.sampled_from(GRID_STUDENTS),
+    "students": st.lists(st.sampled_from(GRID_STUDENTS), max_size=3),
+    "alphas": st.lists(_REALS, max_size=3),
+    "temperatures": st.lists(_REALS, max_size=3),
+    "epochs_overrides": st.dictionaries(st.sampled_from(GRID_STUDENTS), _COUNTS, max_size=2),
+}
+
+
+@FUZZ
+@given(doc=st.fixed_dictionaries({"dataset": st.text(max_size=4), "seed": _COUNTS}, optional=_CONFIG_VALUES)
+       | st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)) | st.text(max_size=4),
+                         JSON_VALUES, max_size=4)
+       | JSON_VALUES)
+def test_config_documents_validate_or_raise_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for name in ("epochs", "batch_size", "ae_epochs", "spsa_steps", "spsa_batch", "spsa_restarts", "jobs"):
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) >= 1, name
+    assert type(cfg.seed) is int and cfg.seed >= 0
+    assert type(cfg.shot_noise) is int and cfg.shot_noise >= 0
+    assert type(cfg.folds) is int and cfg.folds >= 2
+    assert cfg.student in GRID_STUDENTS and cfg.students and set(cfg.students) <= set(GRID_STUDENTS)
+    assert cfg.alphas and all(0.0 <= a <= 1.0 for a in (cfg.alpha, *cfg.alphas))
+    assert cfg.temperatures and all(math.isfinite(t) and t > 0 for t in (cfg.temperature, *cfg.temperatures))
+    assert math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0

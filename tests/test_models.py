@@ -204,7 +204,7 @@ def test_checkpoint_roundtrip_preserves_eval_outputs(tmp_path):
         before = model.forward(x, train=False).data.copy()
         path = tmp_path / f"{model.arch}.ckpt"
         save_model(path, model)
-        loaded = load_model(path, seed=99)
+        loaded = load_model(path)
         after = loaded.forward(x, train=False).data
         assert np.allclose(before, after, atol=1e-12)
 

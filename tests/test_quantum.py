@@ -219,7 +219,10 @@ def test_theta_checkpoint_roundtrip(tmp_path):
     'not json',
     '{"theta": [' + "9" * 400 + ']}',
     "[" * 100000,
-], ids=["non_numeric_angle", "missing_theta", "not_json", "angle_overflows_float", "deeply_nested"])
+    '{"theta": [NaN' + ", 0.5" * 35 + ']}',
+    '{"theta": [true' + ", 0.5" * 35 + ']}',
+], ids=["non_numeric_angle", "missing_theta", "not_json", "angle_overflows_float", "deeply_nested",
+        "nan_angle", "boolean_angle"])
 def test_load_theta_bad_file_names_path(tmp_path, text):
     path = tmp_path / "theta.json"
     path.write_text(text)

@@ -58,6 +58,7 @@ def test_config_validation_errors():
     {"teacher_logits": 3},
     {"output_dir": None},
     {"seed": True},
+    {"seed": -1},
     {"folds": 2.5},
     {"spsa_batch": 1.5},
     {"epochs": "3"},
@@ -155,11 +156,10 @@ def test_train_vqc_counts_evaluations(tiny_dataset):
     ae = train_autoencoder(X, np.arange(60), epochs=2, batch_size=16, learning_rate=2e-3, seed=1)
     latents = LatentScaler.fit(encode_latents(ae, X)[:60])(encode_latents(ae, X))
     kd = KdConfig(alpha=0.5, temperature=2.0)
-    theta, diag = train_vqc(latents, y, tz, np.arange(60), kd, steps=10, batch_size=16,
-                            seed=2, init_draws=8)
+    theta, diag = train_vqc(latents, y, tz, np.arange(60), kd, steps=10, batch_size=16, seed=2)
     assert theta.shape == (36,)
     assert diag["loss_evaluations"] == 2 * 10
-    assert diag["init_evaluations"] == 8
+    assert diag["init_evaluations"] == 32
     assert diag["calibration_evaluations"] == 12  # 10 noise probes + one pair
 
 
@@ -168,8 +168,8 @@ def test_train_vqc_deterministic(tiny_dataset):
     ae = train_autoencoder(X, np.arange(60), epochs=2, batch_size=16, learning_rate=2e-3, seed=1)
     latents = LatentScaler.fit(encode_latents(ae, X)[:60])(encode_latents(ae, X))
     kd = KdConfig(alpha=0.5, temperature=2.0)
-    a, _ = train_vqc(latents, y, tz, np.arange(60), kd, steps=5, batch_size=16, seed=4, init_draws=4)
-    b, _ = train_vqc(latents, y, tz, np.arange(60), kd, steps=5, batch_size=16, seed=4, init_draws=4)
+    a, _ = train_vqc(latents, y, tz, np.arange(60), kd, steps=5, batch_size=16, seed=4)
+    b, _ = train_vqc(latents, y, tz, np.arange(60), kd, steps=5, batch_size=16, seed=4)
     assert np.array_equal(a, b)
 
 
@@ -213,13 +213,17 @@ def test_run_grid_cardinality_small(tiny_dataset):
 def test_run_grid_parallel_matches_serial(tiny_dataset):
     X, y, tz = tiny_dataset
     base = dict(
-        dataset="d", seed=8, students=("cnn1d",), alphas=(0.3, 0.7),
-        temperatures=(2.0,), epochs=1, batch_size=16, folds=2, ae_epochs=1,
+        dataset="d", seed=8, temperatures=(2.0,), epochs=1, batch_size=16, folds=2, ae_epochs=1,
         spsa_steps=3, spsa_batch=16,
     )
-    serial, _ = run_grid(X, y, tz, RunConfig(**base, jobs=1), "tiny")
-    parallel, _ = run_grid(X, y, tz, RunConfig(**base, jobs=2), "tiny")
-    assert [r.to_entry() for r in serial] == [r.to_entry() for r in parallel]
+    # two cnn1d cells, then one cell each of the two backprop students at
+    # full size (resnet1d has 3.85M parameters)
+    for cells in (dict(students=("cnn1d",), alphas=(0.3, 0.7)),
+                  dict(students=("cnn1d", "resnet1d"), alphas=(0.5,))):
+        serial, _ = run_grid(X, y, tz, RunConfig(**base, **cells, jobs=1), "tiny")
+        parallel, _ = run_grid(X, y, tz, RunConfig(**base, **cells, jobs=2), "tiny")
+        assert len(serial) == 2
+        assert [r.to_entry() for r in serial] == [r.to_entry() for r in parallel]
 
 
 def test_run_grid_keeps_at_most_one_fold_model_alive(tiny_dataset, tmp_path, monkeypatch):
