@@ -94,28 +94,11 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return add(self, neg(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data, parents, backward_fn):
@@ -125,45 +108,36 @@ def _node(data, parents, backward_fn):
     return Tensor(data)
 
 
-def _unbroadcast(grad, shape):
-    # Sum gradient back down to the broadcast source shape.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+# Binary ops take a Tensor first and a Tensor or constant array second.
+# Operands are never broadcast against a gradient-carrying one: if one
+# were, its gradient would have the wrong shape and _accumulate raises.
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
+    b = b if isinstance(b, Tensor) else Tensor(b)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(g)
 
-    return _node(out_data, (a, b), backward_fn)
+    return _node(a.data + b.data, (a, b), backward_fn)
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
+    b = b if isinstance(b, Tensor) else Tensor(b)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(g * a.data)
 
-    return _node(out_data, (a, b), backward_fn)
+    return _node(a.data * b.data, (a, b), backward_fn)
 
 
 def neg(a):
-    a = _as_tensor(a)
-
     def backward_fn(g):
         a._accumulate(-g)
 
@@ -171,7 +145,6 @@ def neg(a):
 
 
 def reshape(a, shape):
-    a = _as_tensor(a)
     old_shape = a.shape
 
     def backward_fn(g):
@@ -181,7 +154,6 @@ def reshape(a, shape):
 
 
 def mean_all(a):
-    a = _as_tensor(a)
     n = a.size
 
     def backward_fn(g):
@@ -191,7 +163,6 @@ def mean_all(a):
 
 
 def relu(a):
-    a = _as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
@@ -210,7 +181,6 @@ def _sigmoid(x):
 
 
 def sigmoid(a):
-    a = _as_tensor(a)
     out_data = _sigmoid(a.data)
 
     def backward_fn(g):
@@ -224,7 +194,6 @@ def _softplus(x):
 
 
 def softplus(a):
-    a = _as_tensor(a)
     sig = _sigmoid(a.data)
 
     def backward_fn(g):
@@ -233,29 +202,57 @@ def softplus(a):
     return _node(_softplus(a.data), (a,), backward_fn)
 
 
-def linear(x, weight, bias=None):
+def linear(x, weight, bias):
     """Affine map ``x @ weight.T + bias`` for x of shape [B, in]."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeMismatchError(f"linear: x {x.shape} vs weight {weight.shape}")
-    out_data = x.data @ weight.data.T
-    if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise ShapeMismatchError(f"linear: bias {bias.shape} vs out {weight.shape[0]}")
-        out_data = out_data + bias.data
+    if bias.shape != (weight.shape[0],):
+        raise ShapeMismatchError(f"linear: bias {bias.shape} vs out {weight.shape[0]}")
 
     def backward_fn(g):
         if x.requires_grad:
             x._accumulate(g @ weight.data)
         if weight.requires_grad:
             weight._accumulate(g.T @ x.data)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out_data, parents, backward_fn)
+    return _node(x.data @ weight.data.T + bias.data, (x, weight, bias), backward_fn)
 
 
-def conv1d(x, weight, bias=None, stride=1, padding=0):
+# Both convolutions lower to GEMMs over one gather and one scatter.  For
+# [B, C, L] signals, padding zero-pads L on both ends; _im2col turns a
+# padded signal into rows indexed by (batch, window) and columns by
+# (channel, tap); _col2im adds such columns back into a padded signal
+# and crops the padding.  conv1d gathers forward and scatters backward;
+# conv_transpose1d does the opposite.
+
+
+def _pad(a, padding):
+    if not padding:
+        return a
+    padded = np.zeros(a.shape[:2] + (a.shape[2] + 2 * padding,))
+    padded[:, :, padding:-padding] = a
+    return padded
+
+
+def _im2col(padded, k, stride):
+    batch, channels = padded.shape[:2]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)[:, :, ::stride, :]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3))
+    return cols.reshape(batch * windows.shape[2], channels * k)
+
+
+def _col2im(cols, length, stride, padding):
+    # cols [B, n_windows, C, K] -> [B, C, length]
+    batch, n_windows, channels, k = cols.shape
+    padded = np.zeros((batch, channels, length + 2 * padding))
+    for kk in range(k):
+        padded[:, :, kk : kk + stride * n_windows : stride] += cols[:, :, :, kk].transpose(0, 2, 1)
+    return padded[:, :, padding : padding + length]
+
+
+def conv1d(x, weight, bias, stride=1, padding=0):
     """Strided cross-correlation of [B, C_in, L] with [C_out, C_in, K] kernels.
 
     Lowered to a single GEMM per call (im2col) so the heavy lifting stays
@@ -271,44 +268,30 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeMismatchError("conv1d: stride must be >= 1 and padding >= 0")
     if length + 2 * padding < k:
         raise ShapeMismatchError(f"conv1d: length {length} + 2*{padding} shorter than kernel {k}")
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ShapeMismatchError(f"conv1d: bias {bias.shape} vs C_out {c_out}")
 
-    if padding:
-        xp = np.zeros((batch, c_in, length + 2 * padding))
-        xp[:, :, padding : padding + length] = x.data
-    else:
-        xp = x.data
     l_out = (length + 2 * padding - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    # rows indexed by (batch, output position), columns by (channel, tap)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(batch * l_out, c_in * k)
+    cols = _im2col(_pad(x.data, padding), k, stride)
     w_mat = weight.data.reshape(c_out, c_in * k)
     out_rows = cols @ w_mat.T
-    if bias is not None:
-        out_rows += bias.data
+    out_rows += bias.data
     out_data = np.ascontiguousarray(out_rows.reshape(batch, l_out, c_out).transpose(0, 2, 1))
 
     def backward_fn(g):
         g_rows = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * l_out, c_out)
         if weight.requires_grad:
             weight._accumulate((g_rows.T @ cols).reshape(c_out, c_in, k))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g_rows.sum(axis=0))
         if x.requires_grad:
             g_cols = (g_rows @ w_mat).reshape(batch, l_out, c_in, k)
-            gx = np.zeros_like(xp)
-            for kk in range(k):
-                gx[:, :, kk : kk + stride * l_out : stride] += g_cols[:, :, :, kk].transpose(0, 2, 1)
-            if padding:
-                gx = gx[:, :, padding : padding + length]
-            x._accumulate(gx)
+            x._accumulate(_col2im(g_cols, length, stride, padding))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out_data, parents, backward_fn)
+    return _node(out_data, (x, weight, bias), backward_fn)
 
 
-def conv_transpose1d(x, weight, bias=None, stride=1, padding=0, output_padding=0):
+def conv_transpose1d(x, weight, bias, stride=1, padding=0, output_padding=0):
     """Transposed counterpart of conv1d; weight is [C_in, C_out, K].
 
     L_out = (L - 1) * stride - 2*padding + K + output_padding.
@@ -324,37 +307,25 @@ def conv_transpose1d(x, weight, bias=None, stride=1, padding=0, output_padding=0
     l_out = (length - 1) * stride - 2 * padding + k + output_padding
     if l_out < 1:
         raise ShapeMismatchError("conv_transpose1d: non-positive output length")
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ShapeMismatchError(f"conv_transpose1d: bias {bias.shape} vs C_out {c_out}")
 
-    full_len = (length - 1) * stride + k
     w_mat = weight.data.reshape(c_in, c_out * k)
     # contrib[b, o, k, l] = sum_i x[b,i,l] * w[i,o,k]
     contrib = (x.data.transpose(0, 2, 1) @ w_mat).reshape(batch, length, c_out, k)
-    full = np.zeros((batch, c_out, full_len + output_padding))
-    for kk in range(k):
-        full[:, :, kk : kk + stride * length : stride] += contrib[:, :, :, kk].transpose(0, 2, 1)
-    out_data = full[:, :, padding : padding + l_out]
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+    out_data = _col2im(contrib, l_out, stride, padding) + bias.data[None, :, None]
 
     def backward_fn(g):
-        g_full = np.zeros((batch, c_out, full_len + output_padding))
-        g_full[:, :, padding : padding + l_out] = g
-        g_contrib = np.empty((batch, length, c_out, k))
-        for kk in range(k):
-            g_contrib[:, :, :, kk] = g_full[:, :, kk : kk + stride * length : stride].transpose(0, 2, 1)
-        g_flat = g_contrib.reshape(batch, length, c_out * k)
+        g_flat = _im2col(_pad(g, padding), k, stride).reshape(batch, length, c_out * k)
         if x.requires_grad:
             x._accumulate((g_flat @ w_mat.T).transpose(0, 2, 1))
         if weight.requires_grad:
             gw = np.einsum("bil,blm->im", x.data, g_flat, optimize=True)
             weight._accumulate(gw.reshape(c_in, c_out, k))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out_data, parents, backward_fn)
+    return _node(out_data, (x, weight, bias), backward_fn)
 
 
 BN_EPS = 1e-5
@@ -425,14 +396,12 @@ def global_avg_pool(x):
     return _node(x.data.mean(axis=2), (x,), backward_fn)
 
 
-def dropout(x, rate, train, rng=None):
+def dropout(x, rate, train, rng):
     """Inverted dropout; identity in eval mode."""
     if not 0.0 <= rate < 1.0:
         raise BadDropoutRateError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep) / keep
 
@@ -508,23 +477,23 @@ class Module:
 
 
 class Conv1d(Module):
-    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, bias=True, rng=None):
+    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, *, rng):
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(kaiming_uniform(rng, (c_out, c_in, kernel), c_in * kernel), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x, train=False):
         return conv1d(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class ConvTranspose1d(Module):
-    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, output_padding=0, bias=True, rng=None):
+    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, output_padding=0, *, rng):
         self.stride = stride
         self.padding = padding
         self.output_padding = output_padding
         self.weight = Tensor(kaiming_uniform(rng, (c_in, c_out, kernel), c_in * kernel), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x, train=False):
         return conv_transpose1d(x, self.weight, self.bias, self.stride, self.padding, self.output_padding)
@@ -541,9 +510,9 @@ class BatchNorm1d(Module):
 
 
 class Linear(Module):
-    def __init__(self, n_in, n_out, bias=True, rng=None):
+    def __init__(self, n_in, n_out, *, rng):
         self.weight = Tensor(kaiming_uniform(rng, (n_out, n_in), n_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x, train=False):
         return linear(x, self.weight, self.bias)

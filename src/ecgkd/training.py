@@ -94,6 +94,10 @@ class RunConfig:
         for t in (self.temperature, *self.temperatures):
             if not t > 0:
                 raise ConfigError(f"temperature must be positive, got {t}")
+        for name in ("students", "alphas", "temperatures"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat an entry, got {list(values)}")
         for name in ("epochs", "batch_size", "ae_epochs", "spsa_steps", "spsa_batch",
                      "spsa_restarts", "jobs"):
             if getattr(self, name) < 1:

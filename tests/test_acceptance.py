@@ -8,6 +8,7 @@ the distillation, report-fidelity, and runtime criteria.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ecgkd import cli, quantum
 from ecgkd.autodiff import Tensor
 from ecgkd.distill import KdConfig, class_logits, hard_loss, kd_loss, kd_loss_batch
 from ecgkd.evalkit import binary_metrics, select_best, reports_from_json, stratified_kfold
-from ecgkd.models import Cnn1dStudent, ConvAutoencoder, Resnet1dStudent, build_student, count_params
+from ecgkd.models import Cnn1dStudent, ConvAutoencoder, Resnet1dStudent, count_params
 from ecgkd.optim import Spsa, spsa_calibrate
 from ecgkd.signal import RawSignal, dwt_forward, dwt_inverse, load_window_csv
 from ecgkd.distill import load_teacher_logits
@@ -349,7 +350,7 @@ def test_end_to_end_distillation(pipeline):
     ]
     teacher_fold_mean = float(np.mean(teacher_fold_accs))
 
-    doc = json.loads(open(pipeline["outdir"] + "/report.json").read())
+    doc = json.loads(Path(pipeline["outdir"] + "/report.json").read_text())
     reports = reports_from_json(doc)
     gaps = {}
     for student in ("cnn1d", "resnet1d", "ae_vqc"):
@@ -387,21 +388,21 @@ def test_vqc_measurement_accounting(pipeline):
 
 
 def test_report_fidelity(pipeline):
-    doc = json.loads(open(pipeline["outdir"] + "/report.json").read())
+    doc = json.loads(Path(pipeline["outdir"] + "/report.json").read_text())
     assert len(doc["entries"]) == 18
     for entry in doc["entries"]:
         assert set(entry["mean"]) == {"accuracy", "precision", "recall", "f1"}
         assert len(entry["folds"]) == 5
         for fold in entry["folds"]:
             assert set(fold) == {"accuracy", "precision", "recall", "f1"}
-    text = open(pipeline["outdir"] + "/report.txt").read()
+    text = Path(pipeline["outdir"] + "/report.txt").read_text()
     import re
 
     rows = [l for l in text.splitlines() if l.startswith("T=")]
     assert len(rows) == 6  # 2 temperatures x 3 students
     for row in rows:
         assert re.match(r"T=\d+, \w+(, [01]\.\d{4}){4}", row)
-    csv_lines = open(pipeline["outdir"] + "/precision_vs_alpha.csv").read().splitlines()
+    csv_lines = Path(pipeline["outdir"] + "/precision_vs_alpha.csv").read_text().splitlines()
     assert csv_lines[0] == "student,dataset,temperature,alpha,precision"
     assert len(csv_lines) == 19
     seen = set()
@@ -432,18 +433,18 @@ def test_seeded_commands_rerun_byte_identically(tmp_path):
     w1, w2 = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
     for out in (w1, w2):
         assert cli.main(["synth", "--out", out, "--n", "80", "--noise-sigma", "0.15", "--seed", "3"]) == 0
-    assert open(w1, "rb").read() == open(w2, "rb").read()
+    assert Path(w1).read_bytes() == Path(w2).read_bytes()
 
     c1, c2 = str(tmp_path / "t1.ckpt"), str(tmp_path / "t2.ckpt")
     for out in (c1, c2):
         assert cli.main(["teacher", "--windows", w1, "--out", out,
                          "--epochs", "2", "--batch-size", "16", "--lr", "0.002", "--seed", "5"]) == 0
-    assert open(c1, "rb").read() == open(c2, "rb").read()
+    assert Path(c1).read_bytes() == Path(c2).read_bytes()
 
     l1, l2 = str(tmp_path / "l1.csv"), str(tmp_path / "l2.csv")
     for out in (l1, l2):
         assert cli.main(["logits", "--ckpt", c1, "--windows", w1, "--out", out]) == 0
-    assert open(l1, "rb").read() == open(l2, "rb").read()
+    assert Path(l1).read_bytes() == Path(l2).read_bytes()
 
     outputs = []
     for tag in ("a", "b"):

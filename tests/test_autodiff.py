@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -188,10 +189,10 @@ def test_conv_transpose_matches_conv_adjoint():
     x = rng.standard_normal((1, 2, 10))
     w = rng.standard_normal((3, 2, 4))  # conv weight [C_out, C_in, K]
     y = rng.standard_normal((1, 3, 4))
-    out = conv1d(Tensor(x), Tensor(w), None, stride=2, padding=0)
+    out = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(3)), stride=2, padding=0)
     lhs = float(np.sum(out.data * y))
     wt = np.transpose(w, (0, 1, 2))  # conv_T expects [C_in=3, C_out=2, K]
-    back = conv_transpose1d(Tensor(y), Tensor(wt), None, stride=2, padding=0)
+    back = conv_transpose1d(Tensor(y), Tensor(wt), Tensor(np.zeros(2)), stride=2, padding=0)
     rhs = float(np.sum(back.data[:, :, : x.shape[2]] * x))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -209,6 +210,50 @@ def test_linear_and_gradients():
         return mean_all(ad.mul(o, o))
 
     check_gradients(fn, [x, w, b], seed=7)
+
+
+# sha256 over the forward output and every gradient of each array op on
+# seeded inputs (see test_op_bits); a change to any op's arithmetic, or to
+# the order it sums in, changes it.
+OP_BITS_SHA256 = "b44edb2e39138406114dc983af5f8eb4b154a4a3308b279ae6021ba8bbd45b68"
+
+
+def test_op_bits():
+    rng = np.random.default_rng(77)
+    digest = hashlib.sha256()
+
+    def param(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    def run(op, *inputs):
+        # weight the output by a seeded array so every gradient entry differs
+        out = op(*inputs)
+        mean_all(ad.mul(out, rng.standard_normal(out.shape))).backward()
+        digest.update(out.data.tobytes())
+        for t in inputs:
+            digest.update(t.grad.tobytes())
+
+    for i, (stride, padding) in enumerate((s, p) for s in (1, 2, 4, 8) for p in range(5)):
+        k = (3, 5, 9)[i % 3]
+        run(lambda x, w, b: conv1d(x, w, b, stride, padding), param(2, 3, 37), param(4, 3, k), param(4))
+    for stride, padding, output_padding, k in ((1, 0, 0, 3), (2, 1, 1, 4), (4, 1, 1, 5), (4, 2, 3, 8), (3, 0, 2, 2)):
+        run(lambda x, w, b: conv_transpose1d(x, w, b, stride, padding, output_padding),
+            param(2, 4, 9), param(4, 3, k), param(3))
+    run(linear, param(6, 10), param(4, 10), param(4))
+    for train in (True, False):
+        running = {"mean": rng.standard_normal(3), "var": rng.uniform(0.5, 1.5, 3)}
+        run(lambda x, g, b: batchnorm1d(x, g, b, running, train), param(4, 3, 11), param(3), param(3))
+    run(ad.add, param(5, 7), param(5, 7))
+    run(ad.mul, param(5, 7), param(5, 7))
+    assert digest.hexdigest() == OP_BITS_SHA256
+
+
+def test_broadcast_operand_gradient_raises():
+    a = Tensor(np.ones((3, 4)), requires_grad=True)
+    b = Tensor(np.ones(4), requires_grad=True)
+    loss = mean_all(ad.add(a, b))
+    with pytest.raises(ShapeMismatchError):
+        loss.backward()
 
 
 def test_batchnorm_train_statistics():
@@ -281,7 +326,7 @@ def test_batchnorm_mode_and_shape_errors():
 def test_dropout_eval_identity_and_train_scaling():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((64, 100)))
-    assert dropout(x, 0.5, train=False) is x
+    assert dropout(x, 0.5, train=False, rng=np.random.default_rng(0)) is x
     out = dropout(x, 0.5, train=True, rng=np.random.default_rng(0))
     kept = out.data != 0
     assert 0.35 < kept.mean() < 0.65

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ecgkd import cli, quantum
 from ecgkd.distill import load_teacher_logits
 from ecgkd.evalkit import METRIC_KEYS, binary_metrics, stratified_kfold
 from ecgkd.models import load_model
-from ecgkd.signal import load_window_csv, save_window_csv
+from ecgkd.signal import load_window_csv
 from ecgkd.training import encode_latents
 
 
@@ -227,7 +228,7 @@ def test_distill_entry_equals_one_cell_grid(student, teacher_setup, small_window
 def test_logits_truncated_checkpoint_exit_2(teacher_setup, small_windows, tmp_path, capsys):
     ckpt, _ = teacher_setup
     cut = tmp_path / "cut.ckpt"
-    cut.write_bytes(open(ckpt, "rb").read()[:-5])
+    cut.write_bytes(Path(ckpt).read_bytes()[:-5])
     code = run_cli("logits", "--ckpt", str(cut), "--windows", small_windows, "--out", str(tmp_path / "l.csv"))
     assert code == 2
     assert str(cut) in capsys.readouterr().err
@@ -255,7 +256,7 @@ def test_distill_missing_dataset_exit_2(tmp_path):
 def test_row_count_mismatch_exit_2(teacher_setup, small_windows, tmp_path):
     _, logits_path = teacher_setup
     short = tmp_path / "short.csv"
-    lines = open(logits_path).read().splitlines()
+    lines = Path(logits_path).read_text().splitlines()
     short.write_text("\n".join(lines[:-1]) + "\n")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"dataset": small_windows, "teacher_logits": str(short),

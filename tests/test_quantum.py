@@ -7,7 +7,6 @@ from helpers import (
     dense_efficient_su2,
     dense_vqc_state,
     dense_z_expectations,
-    dense_zz_feature_map,
 )
 
 

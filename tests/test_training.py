@@ -71,6 +71,9 @@ def test_config_validation_errors():
     {"temperatures": []},
     {"alphas": 0.5},
     {"temperatures": ["2"]},
+    {"students": ["cnn1d", "ae_vqc", "cnn1d"]},
+    {"alphas": [0.5, 0.5]},
+    {"temperatures": [2.0, 4.0, 2]},
     {"epochs_overrides": {"ae_vqc": 2}},
     {"epochs_overrides": {"cnn1d": 0}},
     {"epochs_overrides": {"resnet1d": 1.5}},
