@@ -108,12 +108,9 @@ def _node(data, parents, backward_fn):
     return Tensor(data)
 
 
-# Binary ops take a Tensor first and a Tensor or constant array second.
-# Operands are never broadcast against a gradient-carrying one: if one
-# were, its gradient would have the wrong shape and _accumulate raises.
-
-
 def add(a, b):
+    """a + b for a Tensor ``a`` and a same-shape Tensor or constant ``b``.  A
+    broadcast operand that needs a gradient raises ShapeMismatchError."""
     b = b if isinstance(b, Tensor) else Tensor(b)
 
     def backward_fn(g):
@@ -126,6 +123,7 @@ def add(a, b):
 
 
 def mul(a, b):
+    """Elementwise a * b, with operands as for add."""
     b = b if isinstance(b, Tensor) else Tensor(b)
 
     def backward_fn(g):

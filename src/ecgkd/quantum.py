@@ -19,7 +19,7 @@ DIM = 2 ** N_QUBITS
 ANSATZ_REPS = 2
 FEATURE_MAP_REPS = 2
 THETA_LENGTH = 2 * N_QUBITS * (ANSATZ_REPS + 1)
-LOGIT_SCALE = 4.0
+LOGIT_SCALE = 32.0
 
 
 class QuantumError(Exception):
@@ -146,14 +146,14 @@ def sampled_z_expectations(state, shots, rng):
     return (counts @ _Z_SIGNS) / shots
 
 
-def vqc_logit(expectations, scale=LOGIT_SCALE):
-    """Parameter-free readout map: scale times the mean of the six <Z_i>."""
+def vqc_logit(expectations):
+    """Parameter-free readout map: LOGIT_SCALE times the mean of the six <Z_i>."""
     z = np.asarray(expectations, dtype=np.float64)
     if z.shape[-1] != N_QUBITS:
         raise OutOfRangeError(f"expected {N_QUBITS} expectation values, got shape {z.shape}")
     if np.any(np.abs(z) > 1.0 + 1e-9):
         raise OutOfRangeError("expectation values must lie in [-1, 1]")
-    return scale * z.mean(axis=-1)
+    return LOGIT_SCALE * z.mean(axis=-1)
 
 
 def vqc_forward_batch(x, theta, shots=0, rng=None):

@@ -178,7 +178,7 @@ def test_distill_ae_vqc_checkpoints(teacher_setup, small_windows, tmp_path):
     assert run_cli("distill", "--config", str(cfg_path)) == 0
     theta_doc = json.loads((outdir / "fold0.theta.json").read_text())
     assert len(theta_doc["theta"]) == 36
-    assert theta_doc["kappa"] == 4.0
+    assert theta_doc["kappa"] == 32.0
     assert theta_doc["loss_evaluations"] == 8
     assert (outdir / "fold0.ae.ckpt").exists()
 
@@ -301,7 +301,7 @@ def test_grid_small_and_outputs(teacher_setup, small_windows, tmp_path):
 
 # sha256 of report.json from test_golden_grid_report; a change to any
 # student's numerics, the fold splits or the report format changes it.
-GOLDEN_GRID_REPORT_SHA256 = "4f77b090ede64012ef038d7f06d2ddc51d4742efeb78dd7f633fe1a660c45228"
+GOLDEN_GRID_REPORT_SHA256 = "54ad2bb291156f78b15e1c633c5e7281f294159f62f30e75af33379b69d72c94"
 
 
 def test_golden_grid_report(tmp_path):
@@ -338,14 +338,14 @@ def test_golden_denoise(tmp_path):
 # initial angle screen and the shot-noise path through a config.
 GOLDEN_AE_VQC_SHA256 = {
     0: {
-        "fold0.theta.json": "3d262d07641892b22ae2b72614a35114191d0a079193ff373001ff7fed7ea055",
-        "fold1.theta.json": "1a62a97f04914a4260e3e5cd956cf98199fa784dea6fa67088741da0c804ea16",
-        "report.json": "70808555cf39a2b88dbc3495028df14d7bc6e21b4290940e41027376950460df",
+        "fold0.theta.json": "ff0859faf2a21d26d8ef45c4dcfe6f25b4bb61b5fd9bcb4bccdd6899893b4aa8",
+        "fold1.theta.json": "8fa14748730d3954ff53f403ef98d85550b8e80932346fdc38c6136ecd9958a1",
+        "report.json": "61a550da5b7a7a2bfea4c8e041579e742d49a968eb40422d7fb52ad9875f9fe9",
     },
     64: {
-        "fold0.theta.json": "6dfd9c48d3e2bd6f80d150dc292acb7650685c3fe5c4e413488184048ff4a67c",
-        "fold1.theta.json": "c5ec2645806aa7801b98804b0f9a3902f0e6eeb7a188bc17733a5dee59054cf0",
-        "report.json": "88774225f0fb28a7c98e3b33327d9124ec2d2c6219193ec4f24ed468bba189ff",
+        "fold0.theta.json": "836051795f19bc1e5f5ab3aa48900298c81b719a03dacb9fe63ab06d99bda8c4",
+        "fold1.theta.json": "91c68b5bd9077af84138d476dabc02972d1fefc15af6c97ac8add4c8b2a12dea",
+        "report.json": "26b28f9a8972126742d560caaa6129c4b224328999e0e079379e8f6d9eb58e09",
     },
 }
 

@@ -115,10 +115,10 @@ def test_z_expectations_match_dense_oracle():
 
 
 def test_vqc_logit_map():
-    assert q.vqc_logit(np.ones(6)) == pytest.approx(4.0)
-    assert 1 / (1 + np.exp(-q.vqc_logit(np.ones(6)))) == pytest.approx(0.9820, abs=5e-5)
+    assert q.vqc_logit(np.ones(6)) == pytest.approx(q.LOGIT_SCALE)
+    assert q.vqc_logit(np.array([1.0, 1.0, 1.0, -1.0, 0.0, 0.5])) == pytest.approx(q.LOGIT_SCALE * 2.5 / 6)
     assert q.vqc_logit(np.zeros(6)) == 0.0
-    assert q.vqc_logit(-np.ones(6)) == pytest.approx(-4.0)
+    assert q.vqc_logit(-np.ones(6)) == pytest.approx(-q.LOGIT_SCALE)
     with pytest.raises(q.OutOfRangeError):
         q.vqc_logit(np.full(6, 1.5))
 
@@ -130,7 +130,7 @@ def test_vqc_forward_deterministic_and_bounded():
     a = q.vqc_forward(x, theta)
     b = q.vqc_forward(x, theta)
     assert a == b
-    assert abs(a) <= 4.0
+    assert abs(a) <= q.LOGIT_SCALE
 
 
 def test_vqc_forward_matches_dense_pipeline():
@@ -139,7 +139,7 @@ def test_vqc_forward_matches_dense_pipeline():
         x = rng.uniform(-np.pi, np.pi, 6)
         theta = rng.uniform(-np.pi, np.pi, 36)
         dense = dense_vqc_state(x, theta)
-        expected = 4.0 * dense_z_expectations(dense).mean()
+        expected = q.LOGIT_SCALE * dense_z_expectations(dense).mean()
         assert q.vqc_forward(x, theta) == pytest.approx(expected, abs=1e-9)
 
 
@@ -147,7 +147,7 @@ def test_vqc_forward_theta_zero_pi_inputs():
     # with all-pi inputs and theta=0 the circuit is just the feature map
     x = np.full(6, np.pi)
     dense = dense_vqc_state(x, np.zeros(36))
-    expected = 4.0 * dense_z_expectations(dense).mean()
+    expected = q.LOGIT_SCALE * dense_z_expectations(dense).mean()
     assert q.vqc_forward(x, np.zeros(36)) == pytest.approx(expected, abs=1e-9)
 
 
@@ -172,7 +172,7 @@ def test_batch_matches_dense_oracle_outside_pi():
     X = rng.uniform(-3 * np.pi, 3 * np.pi, (24, 6))
     X[0] = [10.0, -8.0, np.pi, -np.pi, 0.0, 4.0]
     theta = rng.uniform(-np.pi, np.pi, 36)
-    expected = np.array([4.0 * dense_z_expectations(dense_vqc_state(x, theta)).mean() for x in X])
+    expected = np.array([q.LOGIT_SCALE * dense_z_expectations(dense_vqc_state(x, theta)).mean() for x in X])
     assert np.max(np.abs(q.vqc_forward_batch(X, theta) - expected)) < 1e-12
 
 
@@ -207,7 +207,7 @@ def test_theta_checkpoint_roundtrip(tmp_path):
     q.save_theta(path, theta, seed=9, extra={"note": 1})
     got, doc = q.load_theta(path)
     assert np.allclose(got, theta)
-    assert doc["kappa"] == 4.0
+    assert doc["kappa"] == 32.0
     assert doc["ansatz_reps"] == 2
     assert doc["seed"] == 9
 
