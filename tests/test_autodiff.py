@@ -213,8 +213,8 @@ def test_linear_and_gradients():
 
 
 # sha256 over the forward output and every gradient of each array op on
-# seeded inputs (see test_op_bits); a change to any op's arithmetic, or to
-# the order it sums in, changes it.
+# seeded inputs; a change to any op's arithmetic, or to the order it sums
+# in, changes it.
 OP_BITS_SHA256 = "b44edb2e39138406114dc983af5f8eb4b154a4a3308b279ae6021ba8bbd45b68"
 
 

@@ -114,13 +114,16 @@ def test_z_expectations_match_dense_oracle():
     assert np.allclose(q.z_expectations(s), dense_z_expectations(s), atol=1e-12)
 
 
-def test_vqc_logit_map():
+def test_vqc_logit_map(monkeypatch):
     assert q.vqc_logit(np.ones(6)) == pytest.approx(q.LOGIT_SCALE)
     assert q.vqc_logit(np.array([1.0, 1.0, 1.0, -1.0, 0.0, 0.5])) == pytest.approx(q.LOGIT_SCALE * 2.5 / 6)
     assert q.vqc_logit(np.zeros(6)) == 0.0
     assert q.vqc_logit(-np.ones(6)) == pytest.approx(-q.LOGIT_SCALE)
     with pytest.raises(q.OutOfRangeError):
         q.vqc_logit(np.full(6, 1.5))
+    # the scale is read when called, not bound when the function is defined
+    monkeypatch.setattr(q, "LOGIT_SCALE", 2.0)
+    assert q.vqc_logit(np.ones(6)) == 2.0
 
 
 def test_vqc_forward_deterministic_and_bounded():
