@@ -19,22 +19,6 @@ class AutodiffError(Exception):
     pass
 
 
-class ShapeMismatchError(AutodiffError):
-    pass
-
-
-class NonScalarLossError(AutodiffError):
-    pass
-
-
-class BadDropoutRateError(AutodiffError):
-    pass
-
-
-class CheckpointError(AutodiffError):
-    pass
-
-
 _creation_counter = itertools.count()
 
 
@@ -68,7 +52,7 @@ class Tensor:
 
     def _accumulate(self, g):
         if g.shape != self.data.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} != value shape {self.data.shape}")
+            raise AutodiffError(f"gradient shape {g.shape} != value shape {self.data.shape}")
         if self.grad is None:
             self.grad = g.copy()
         else:
@@ -77,7 +61,7 @@ class Tensor:
     def backward(self):
         """Reverse accumulation from this scalar node through the graph."""
         if self.size != 1:
-            raise NonScalarLossError(f"backward() needs a scalar loss, got shape {self.shape}")
+            raise AutodiffError(f"backward() needs a scalar loss, got shape {self.shape}")
         nodes = []
         seen = set()
         stack = [self]
@@ -110,7 +94,7 @@ def _node(data, parents, backward_fn):
 
 def add(a, b):
     """a + b for a Tensor ``a`` and a same-shape Tensor or constant ``b``.  A
-    broadcast operand that needs a gradient raises ShapeMismatchError."""
+    broadcast operand that needs a gradient raises AutodiffError."""
     b = b if isinstance(b, Tensor) else Tensor(b)
 
     def backward_fn(g):
@@ -203,9 +187,9 @@ def softplus(a):
 def linear(x, weight, bias):
     """Affine map ``x @ weight.T + bias`` for x of shape [B, in]."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
-        raise ShapeMismatchError(f"linear: x {x.shape} vs weight {weight.shape}")
+        raise AutodiffError(f"linear: x {x.shape} vs weight {weight.shape}")
     if bias.shape != (weight.shape[0],):
-        raise ShapeMismatchError(f"linear: bias {bias.shape} vs out {weight.shape[0]}")
+        raise AutodiffError(f"linear: bias {bias.shape} vs out {weight.shape[0]}")
 
     def backward_fn(g):
         if x.requires_grad:
@@ -258,17 +242,17 @@ def conv1d(x, weight, bias, stride=1, padding=0):
     in BLAS.  L_out = floor((L + 2*padding - K) / stride) + 1.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
-        raise ShapeMismatchError("conv1d expects x [B,C,L] and weight [C_out,C_in,K]")
+        raise AutodiffError("conv1d expects x [B,C,L] and weight [C_out,C_in,K]")
     batch, c_in, length = x.shape
     c_out, c_in_w, k = weight.shape
     if c_in != c_in_w:
-        raise ShapeMismatchError(f"conv1d: input channels {c_in} != weight channels {c_in_w}")
+        raise AutodiffError(f"conv1d: input channels {c_in} != weight channels {c_in_w}")
     if stride < 1 or padding < 0:
-        raise ShapeMismatchError("conv1d: stride must be >= 1 and padding >= 0")
+        raise AutodiffError("conv1d: stride must be >= 1 and padding >= 0")
     if length + 2 * padding < k:
-        raise ShapeMismatchError(f"conv1d: length {length} + 2*{padding} shorter than kernel {k}")
+        raise AutodiffError(f"conv1d: length {length} + 2*{padding} shorter than kernel {k}")
     if bias.shape != (c_out,):
-        raise ShapeMismatchError(f"conv1d: bias {bias.shape} vs C_out {c_out}")
+        raise AutodiffError(f"conv1d: bias {bias.shape} vs C_out {c_out}")
 
     l_out = (length + 2 * padding - k) // stride + 1
     cols = _im2col(_pad(x.data, padding), k, stride).reshape(batch * l_out, c_in * k)
@@ -296,18 +280,18 @@ def conv_transpose1d(x, weight, bias, stride=1, padding=0, output_padding=0):
     L_out = (L - 1) * stride - 2*padding + K + output_padding.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
-        raise ShapeMismatchError("conv_transpose1d expects x [B,C,L] and weight [C_in,C_out,K]")
+        raise AutodiffError("conv_transpose1d expects x [B,C,L] and weight [C_in,C_out,K]")
     batch, c_in, length = x.shape
     c_in_w, c_out, k = weight.shape
     if c_in != c_in_w:
-        raise ShapeMismatchError(f"conv_transpose1d: input channels {c_in} != weight channels {c_in_w}")
+        raise AutodiffError(f"conv_transpose1d: input channels {c_in} != weight channels {c_in_w}")
     if stride < 1 or padding < 0 or output_padding < 0 or output_padding >= stride:
-        raise ShapeMismatchError("conv_transpose1d: need stride>=1, padding>=0, 0<=output_padding<stride")
+        raise AutodiffError("conv_transpose1d: need stride>=1, padding>=0, 0<=output_padding<stride")
     l_out = (length - 1) * stride - 2 * padding + k + output_padding
     if l_out < 1:
-        raise ShapeMismatchError("conv_transpose1d: non-positive output length")
+        raise AutodiffError("conv_transpose1d: non-positive output length")
     if bias.shape != (c_out,):
-        raise ShapeMismatchError(f"conv_transpose1d: bias {bias.shape} vs C_out {c_out}")
+        raise AutodiffError(f"conv_transpose1d: bias {bias.shape} vs C_out {c_out}")
 
     w_mat = weight.data.reshape(c_in, c_out * k)
     # contrib[b, o, k, l] = sum_i x[b,i,l] * w[i,o,k]
@@ -340,10 +324,10 @@ def batchnorm1d(x, gamma, beta, running, train):
     batch statistics; in eval mode with the stored running statistics.
     """
     if x.data.ndim != 3:
-        raise ShapeMismatchError("batchnorm1d expects x of shape [B, C, L]")
+        raise AutodiffError("batchnorm1d expects x of shape [B, C, L]")
     channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
-        raise ShapeMismatchError("batchnorm1d: gamma/beta must have shape [C]")
+        raise AutodiffError("batchnorm1d: gamma/beta must have shape [C]")
 
     count = x.shape[0] * x.shape[2]
     if train:
@@ -386,7 +370,7 @@ def batchnorm1d(x, gamma, beta, running, train):
 def global_avg_pool(x):
     """Mean over the length axis: [B, C, L] -> [B, C]."""
     if x.data.ndim != 3:
-        raise ShapeMismatchError("global_avg_pool expects x of shape [B, C, L]")
+        raise AutodiffError("global_avg_pool expects x of shape [B, C, L]")
     length = x.shape[2]
 
     def backward_fn(g):
@@ -398,7 +382,7 @@ def global_avg_pool(x):
 def dropout(x, rate, train, rng):
     """Inverted dropout; identity in eval mode."""
     if not 0.0 <= rate < 1.0:
-        raise BadDropoutRateError(f"dropout rate must be in [0, 1), got {rate}")
+        raise AutodiffError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     keep = 1.0 - rate
@@ -461,9 +445,9 @@ class Module:
     def load_state(self, arrays):
         for name, tensor in self.parameters():
             if name not in arrays:
-                raise CheckpointError(f"missing parameter {name!r} in checkpoint")
+                raise AutodiffError(f"missing parameter {name!r} in checkpoint")
             if arrays[name].shape != tensor.data.shape:
-                raise CheckpointError(
+                raise AutodiffError(
                     f"shape mismatch for {name!r}: {arrays[name].shape} vs {tensor.data.shape}"
                 )
             tensor.data = arrays[name].astype(np.float64).copy()
@@ -482,7 +466,7 @@ class Conv1d(Module):
         self.weight = Tensor(kaiming_uniform(rng, (c_out, c_in, kernel), c_in * kernel), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
-    def __call__(self, x, train=False):
+    def __call__(self, x):
         return conv1d(x, self.weight, self.bias, self.stride, self.padding)
 
 
@@ -494,7 +478,7 @@ class ConvTranspose1d(Module):
         self.weight = Tensor(kaiming_uniform(rng, (c_in, c_out, kernel), c_in * kernel), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
-    def __call__(self, x, train=False):
+    def __call__(self, x):
         return conv_transpose1d(x, self.weight, self.bias, self.stride, self.padding, self.output_padding)
 
 
@@ -513,7 +497,7 @@ class Linear(Module):
         self.weight = Tensor(kaiming_uniform(rng, (n_out, n_in), n_in), requires_grad=True)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
-    def __call__(self, x, train=False):
+    def __call__(self, x):
         return linear(x, self.weight, self.bias)
 
 
@@ -550,12 +534,12 @@ def load_checkpoint(path):
     A bad magic, an unreadable header (entry names that are not distinct
     strings, shapes or offsets that are not integers), a payload that is
     not whole float64 values, or entries that run past the payload, overlap
-    or leave trailing data raise CheckpointError naming ``path``.
+    or leave trailing data raise AutodiffError naming ``path``.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r} in {path}")
+            raise AutodiffError(f"bad magic {magic!r} in {path}")
         header_line = fh.readline()
         payload = fh.read()
     try:
@@ -572,26 +556,26 @@ def load_checkpoint(path):
                 raise ValueError(f"duplicate entry {name!r}")
             entries[name] = (offset, tuple(shape))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CheckpointError(f"unreadable header in {path}: {exc}") from None
+        raise AutodiffError(f"unreadable header in {path}: {exc}") from None
     if len(payload) % 8:
-        raise CheckpointError(f"payload of {len(payload)} bytes in {path} is not whole float64 values")
+        raise AutodiffError(f"payload of {len(payload)} bytes in {path} is not whole float64 values")
     data = np.frombuffer(payload, dtype="<f8")
     arrays = {}
     end = 0
     for name, (start, shape) in sorted(entries.items(), key=lambda item: item[1]):
         size = math.prod(shape)
         if start < 0 or min(shape, default=0) < 0 or start + size > data.size:
-            raise CheckpointError(
+            raise AutodiffError(
                 f"entry {name!r} (offset {start}, shape {list(shape)}) runs past the "
                 f"{data.size}-value payload in {path}"
             )
         if size and start < end:
-            raise CheckpointError(f"entry {name!r} at offset {start} overlaps the entry before it in {path}")
+            raise AutodiffError(f"entry {name!r} at offset {start} overlaps the entry before it in {path}")
         try:
             arrays[name] = data[start : start + size].reshape(shape).copy()
         except ValueError as exc:  # more than 64 dims, or dims too large even for an empty array
-            raise CheckpointError(f"entry {name!r} has unusable shape {list(shape)} in {path}: {exc}") from None
+            raise AutodiffError(f"entry {name!r} has unusable shape {list(shape)} in {path}: {exc}") from None
         end = max(end, start + size)
     if end != data.size:
-        raise CheckpointError(f"{data.size - end} trailing values after the last entry in {path}")
+        raise AutodiffError(f"{data.size - end} trailing values after the last entry in {path}")
     return arch, arrays

@@ -166,7 +166,7 @@ def cmd_distill(args):
     cfg = _load_config(args.config)
     cfg.students, cfg.alphas, cfg.temperatures = (cfg.student,), (cfg.alpha,), (cfg.temperature,)
     samples, labels, teacher_z, dataset_name = _load_dataset(cfg)
-    (report,), _ = training.run_grid(samples, labels, teacher_z, cfg, dataset_name, save_dir=cfg.output_dir)
+    (report,), _ = training.run_grid(samples, labels, teacher_z, cfg, save_dir=cfg.output_dir)
     doc = evalkit.report_json([report], dataset_name, cfg.seed)
     evalkit.save_report_json(os.path.join(cfg.output_dir, "report.json"), doc)
     m = report.mean
@@ -184,7 +184,7 @@ def cmd_grid(args):
             raise CliValidationError("--jobs must be >= 1")
         cfg.jobs = args.jobs
     samples, labels, teacher_z, dataset_name = _load_dataset(cfg)
-    reports, _ = training.run_grid(samples, labels, teacher_z, cfg, dataset_name)
+    reports, _ = training.run_grid(samples, labels, teacher_z, cfg)
     text = evalkit.render_table(reports, list(cfg.students), cfg.alphas, cfg.temperatures)
     doc = evalkit.report_json(reports, dataset_name, cfg.seed)
     evalkit.save_report_json(os.path.join(cfg.output_dir, "report.json"), doc)
@@ -198,9 +198,7 @@ def cmd_grid(args):
 
 def cmd_report(args):
     _require_file(args.report, "report JSON")
-    with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    reports = evalkit.reports_from_json(doc)
+    reports = evalkit.load_report_json(args.report)
     alphas = sorted({r.alpha for r in reports})
     temps = sorted({r.temperature for r in reports})
     text = evalkit.render_table(reports, alphas=alphas, temperatures=temps)

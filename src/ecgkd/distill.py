@@ -21,18 +21,6 @@ class DistillError(Exception):
     pass
 
 
-class BadTemperatureError(DistillError):
-    pass
-
-
-class BadLabelError(DistillError):
-    pass
-
-
-class RowCountMismatchError(DistillError):
-    pass
-
-
 @dataclass(frozen=True)
 class KdConfig:
     """Distillation hyperparameters: mixing weight and temperature."""
@@ -44,7 +32,7 @@ class KdConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise DistillError(f"alpha must be in [0, 1], got {self.alpha}")
         if not self.temperature > 0:
-            raise BadTemperatureError(f"temperature must be positive, got {self.temperature}")
+            raise DistillError(f"temperature must be positive, got {self.temperature}")
 
 
 def class_logits(z: float) -> np.ndarray:
@@ -63,7 +51,7 @@ def scalarize_logits(v) -> float:
 def softmax_T(logits, temperature: float) -> np.ndarray:
     """Temperature softmax with max-subtraction for stability."""
     if temperature <= 0:
-        raise BadTemperatureError(f"temperature must be positive, got {temperature}")
+        raise DistillError(f"temperature must be positive, got {temperature}")
     v = np.asarray(logits, dtype=np.float64) / temperature
     v = v - v.max()
     e = np.exp(v)
@@ -81,7 +69,7 @@ def _teacher_p1(zt, t):
 def soft_loss(teacher_logits, student_logits, temperature: float) -> float:
     """Cross-entropy of the student's T-softmax against the teacher's."""
     if temperature <= 0:
-        raise BadTemperatureError(f"temperature must be positive, got {temperature}")
+        raise DistillError(f"temperature must be positive, got {temperature}")
     zt = scalarize_logits(teacher_logits)
     zs = scalarize_logits(student_logits)
     p1 = float(softmax_T(class_logits(zt), temperature)[1])
@@ -93,7 +81,7 @@ def soft_loss(teacher_logits, student_logits, temperature: float) -> float:
 def hard_loss(student_logits, label: int) -> float:
     """Logistic loss of the scalar student logit against the hard label."""
     if label not in (0, 1):
-        raise BadLabelError(f"label must be 0 or 1, got {label}")
+        raise DistillError(f"label must be 0 or 1, got {label}")
     z = scalarize_logits(student_logits)
     return float(ad._softplus(-z) if label == 1 else ad._softplus(z))
 
@@ -185,7 +173,7 @@ def load_teacher_logits(path, expected_rows: int) -> np.ndarray:
         raise DistillError(f"{path}: not UTF-8 text ({exc.reason})") from None
     logits = np.array(logits, dtype=np.float64)
     if len(logits) != expected_rows:
-        raise RowCountMismatchError(
+        raise DistillError(
             f"{path}: {len(logits)} logits but the dataset has {expected_rows} windows"
         )
     return logits

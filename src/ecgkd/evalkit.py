@@ -23,22 +23,6 @@ class EvalError(Exception):
     pass
 
 
-class ClassTooSmallError(EvalError):
-    pass
-
-
-class LengthMismatchError(EvalError):
-    pass
-
-
-class EmptyError(EvalError):
-    pass
-
-
-class IncompleteGridError(EvalError):
-    pass
-
-
 @dataclass(frozen=True)
 class FoldSplit:
     fold_index: int
@@ -60,7 +44,7 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0):
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
-            raise ClassTooSmallError(f"class {cls} has {len(idx)} members, fewer than k={k}")
+            raise EvalError(f"class {cls} has {len(idx)} members, fewer than k={k}")
         rng.shuffle(idx)
         fold_of[idx] = np.arange(len(idx)) % k
     all_idx = np.arange(len(labels))
@@ -82,9 +66,9 @@ def binary_metrics(predictions, labels):
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
-        raise LengthMismatchError(f"{predictions.shape} vs {labels.shape}")
+        raise EvalError(f"binary_metrics: predictions {predictions.shape} vs labels {labels.shape}")
     if predictions.size == 0:
-        raise EmptyError("binary_metrics needs at least one sample")
+        raise EvalError("binary_metrics needs at least one sample")
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     fn = int(np.sum((predictions == 0) & (labels == 1)))
@@ -107,7 +91,6 @@ class MetricsReport:
     student: str
     alpha: float
     temperature: float
-    dataset: str
     folds: list = field(default_factory=list)
     mean: dict = field(default_factory=dict)
 
@@ -137,12 +120,43 @@ def reports_from_json(doc):
             student=entry["student"],
             alpha=float(entry["alpha"]),
             temperature=float(entry["temperature"]),
-            dataset=doc["dataset"],
             folds=[dict(f) for f in entry["folds"]],
         )
         r.mean = dict(entry["mean"])
         reports.append(r)
     return reports
+
+
+def load_report_json(path):
+    """Reports from a ``report.json``.  Text that is not JSON, or an entry
+    without the keys and types that ``render_table`` reads, raises EvalError
+    naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # Integers parse as floats, so an oversized one reads as inf
+            # instead of overflowing float() later.
+            doc = json.load(fh, parse_int=float)
+    except (ValueError, RecursionError) as exc:
+        raise EvalError(f"unreadable report {path}: {exc!r}") from None
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise EvalError(f"report {path} has no 'entries' list")
+    for i, e in enumerate(entries):
+        if not (
+            isinstance(e, dict)
+            and type(e.get("student")) is str
+            and type(e.get("alpha")) is float
+            and type(e.get("temperature")) is float
+            and isinstance(e.get("folds"), list)
+            and all(isinstance(f, dict) for f in e["folds"])
+            and isinstance(e.get("mean"), dict)
+            and all(type(e["mean"].get(k)) is float for k in METRIC_KEYS)
+        ):
+            raise EvalError(
+                f"report {path}: entry {i} needs a student name, numeric alpha and temperature, "
+                f"a folds list and a numeric mean of each of {', '.join(METRIC_KEYS)}"
+            )
+    return reports_from_json(doc)
 
 
 def _report_key(r):
@@ -159,7 +173,7 @@ def select_best(reports, student=None, temperature=None):
         and (temperature is None or r.temperature == temperature)
     ]
     if not pool:
-        raise IncompleteGridError("no reports to select from")
+        raise EvalError("no reports to select from")
     return max(pool, key=lambda r: (r.mean["f1"], r.mean["precision"], -r.temperature, -r.alpha))
 
 
@@ -169,7 +183,7 @@ def check_complete(reports, students, alphas=DEFAULT_ALPHAS, temperatures=DEFAUL
         for t in temperatures:
             for a in alphas:
                 if (s, a, t) not in have:
-                    raise IncompleteGridError(f"missing grid cell ({s}, alpha={a}, T={t})")
+                    raise EvalError(f"missing grid cell ({s}, alpha={a}, T={t})")
 
 
 def render_table(reports, students=None, alphas=DEFAULT_ALPHAS, temperatures=DEFAULT_TEMPERATURES):

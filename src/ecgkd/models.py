@@ -155,14 +155,14 @@ class ConvAutoencoder(Module):
         self.dec2 = ConvTranspose1d(32, 16, 5, stride=4, padding=1, output_padding=1, rng=self.rng)
         self.dec3 = ConvTranspose1d(16, 1, 5, stride=4, padding=1, output_padding=1, rng=self.rng)
 
-    def encode(self, x: Tensor, train=False) -> Tensor:
+    def encode(self, x: Tensor) -> Tensor:
         x = ad.relu(self.enc1(x))
         x = ad.relu(self.enc2(x))
         x = ad.relu(self.enc3(x))
         x = ad.reshape(x, (x.shape[0], 64 * 4))
         return self.to_latent(x)
 
-    def decode(self, latent: Tensor, train=False) -> Tensor:
+    def decode(self, latent: Tensor) -> Tensor:
         x = ad.relu(self.from_latent(latent))
         x = ad.reshape(x, (x.shape[0], 64, 4))
         x = ad.relu(self.dec1(x))
@@ -170,7 +170,7 @@ class ConvAutoencoder(Module):
         return self.dec3(x)
 
     def forward(self, x: Tensor, train=False) -> Tensor:
-        return self.decode(self.encode(x, train), train)
+        return self.decode(self.encode(x))
 
 
 def build_student(kind: str, seed: int = 0):
@@ -195,7 +195,7 @@ def load_model(path):
         "wide_cnn_teacher": WideCnnTeacher,
     }
     if arch not in builders:
-        raise ad.CheckpointError(f"unknown architecture {arch!r} in {path}")
+        raise ad.AutodiffError(f"unknown architecture {arch!r} in {path}")
     model = builders[arch]()
     model.load_state(arrays)
     return model

@@ -16,14 +16,6 @@ class OptimError(Exception):
     pass
 
 
-class NonFiniteGradError(OptimError):
-    pass
-
-
-class NonFiniteLossError(OptimError):
-    pass
-
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -65,7 +57,7 @@ class Adam:
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
-                raise NonFiniteGradError("non-finite gradient encountered")
+                raise OptimError("non-finite gradient encountered")
             self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
             self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[i] / bc1
@@ -107,7 +99,7 @@ class Spsa:
         loss_minus = float(loss_fn(theta - ck * delta))
         self.evaluations += 2
         if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-            raise NonFiniteLossError("non-finite loss during SPSA step")
+            raise OptimError("non-finite loss during SPSA step")
         g_hat = (loss_plus - loss_minus) / (2.0 * ck * delta)
         self.k += 1
         return theta - ak * g_hat
@@ -135,14 +127,14 @@ def spsa_calibrate(loss_fn, theta0, iterations, seed=0):
     rng = np.random.default_rng(seed)
     samples = np.array([float(loss_fn(theta0)) for _ in range(CALIBRATE_NOISE_EVALS)])
     if not np.all(np.isfinite(samples)):
-        raise NonFiniteLossError("non-finite loss during calibration")
+        raise OptimError("non-finite loss during calibration")
     c = max(CALIBRATE_C_FLOOR, float(samples.std(ddof=1)))
     big_a = 0.1 * iterations
     delta = rng.choice([-1.0, 1.0], size=theta0.shape)
     loss_plus = float(loss_fn(theta0 + c * delta))
     loss_minus = float(loss_fn(theta0 - c * delta))
     if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-        raise NonFiniteLossError("non-finite probe loss during calibration")
+        raise OptimError("non-finite probe loss during calibration")
     g0 = (loss_plus - loss_minus) / (2.0 * c * delta)
     a = CALIBRATE_TARGET_STEP * (big_a + 1.0) ** SPSA_ALPHA / max(float(np.max(np.abs(g0))), 1e-6)
     curvature = abs(loss_plus + loss_minus - 2.0 * float(samples.mean())) / (c * c)

@@ -26,26 +26,6 @@ class QuantumError(Exception):
     pass
 
 
-class BadRepsError(QuantumError):
-    pass
-
-
-class BadThetaLengthError(QuantumError):
-    pass
-
-
-class NonNormalizedStateError(QuantumError):
-    pass
-
-
-class OutOfRangeError(QuantumError):
-    pass
-
-
-class BadThetaFileError(QuantumError):
-    pass
-
-
 # _BITS[b, q] = bit q of basis index b
 _BITS = (np.arange(DIM)[:, None] >> np.arange(N_QUBITS)) & 1
 # sign[b, i] = +1 if bit i of b is 0 else -1
@@ -80,7 +60,7 @@ def zz_feature_map(state, x, reps=FEATURE_MAP_REPS):
     are clamped to [-pi, pi] so that the 2*pi periodic phases do not alias.
     """
     if reps < 1:
-        raise BadRepsError(f"reps must be >= 1, got {reps}")
+        raise QuantumError(f"reps must be >= 1, got {reps}")
     x = np.clip(np.asarray(x, dtype=np.float64), -np.pi, np.pi)
     if x.shape[-1] != N_QUBITS:
         raise QuantumError(f"feature vector must have length {N_QUBITS}, got {x.shape}")
@@ -118,7 +98,7 @@ def efficient_su2(state, theta, reps=ANSATZ_REPS):
     theta = np.asarray(theta, dtype=np.float64)
     expected = 2 * N_QUBITS * (reps + 1)
     if theta.shape != (expected,):
-        raise BadThetaLengthError(f"theta must have length {expected}, got shape {theta.shape}")
+        raise QuantumError(f"theta must have length {expected}, got shape {theta.shape}")
     layers = _rotation_layers(theta.reshape(reps + 1, 2, N_QUBITS))
     # Row states evolve as state @ M, with M the transpose of the unitary.
     m = layers[0]
@@ -132,7 +112,7 @@ def z_expectations(state):
     probs = np.abs(state) ** 2
     deviation = np.abs(probs.sum(axis=-1) - 1.0)
     if np.any(deviation > 1e-9):
-        raise NonNormalizedStateError(f"state norm deviates from 1 by {np.max(deviation):.3e}")
+        raise QuantumError(f"state norm deviates from 1 by {np.max(deviation):.3e}")
     return probs @ _Z_SIGNS
 
 
@@ -150,9 +130,9 @@ def vqc_logit(expectations):
     """Parameter-free readout map: LOGIT_SCALE times the mean of the six <Z_i>."""
     z = np.asarray(expectations, dtype=np.float64)
     if z.shape[-1] != N_QUBITS:
-        raise OutOfRangeError(f"expected {N_QUBITS} expectation values, got shape {z.shape}")
+        raise QuantumError(f"expected {N_QUBITS} expectation values, got shape {z.shape}")
     if np.any(np.abs(z) > 1.0 + 1e-9):
-        raise OutOfRangeError("expectation values must lie in [-1, 1]")
+        raise QuantumError("expectation values must lie in [-1, 1]")
     return LOGIT_SCALE * z.mean(axis=-1)
 
 
@@ -183,7 +163,7 @@ def save_theta(path, theta, seed, extra=None):
 
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (THETA_LENGTH,):
-        raise BadThetaLengthError(f"theta must have length {THETA_LENGTH}, got shape {theta.shape}")
+        raise QuantumError(f"theta must have length {THETA_LENGTH}, got shape {theta.shape}")
     doc = {
         "theta": theta.tolist(),
         "ansatz_reps": ANSATZ_REPS,
@@ -201,7 +181,7 @@ def save_theta(path, theta, seed, extra=None):
 def load_theta(path):
     """(theta, document) from a circuit checkpoint.  Text that is not JSON,
     a missing ``theta`` key or angles that are not finite numbers raise
-    BadThetaFileError naming ``path``."""
+    QuantumError naming ``path``."""
     import json
 
     try:
@@ -209,9 +189,9 @@ def load_theta(path):
             doc = json.load(fh)
         theta = np.asarray(doc["theta"], dtype=np.float64)
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise BadThetaFileError(f"unreadable circuit checkpoint {path}: {exc!r}") from None
+        raise QuantumError(f"unreadable circuit checkpoint {path}: {exc!r}") from None
     if theta.shape != (THETA_LENGTH,):
-        raise BadThetaLengthError(f"checkpoint theta in {path} has shape {theta.shape}")
+        raise QuantumError(f"checkpoint theta in {path} has shape {theta.shape}")
     if not all(type(v) in (int, float) for v in doc["theta"]) or not np.all(np.isfinite(theta)):
-        raise BadThetaFileError(f"circuit checkpoint {path} has angles that are not finite numbers")
+        raise QuantumError(f"circuit checkpoint {path} has angles that are not finite numbers")
     return theta, doc

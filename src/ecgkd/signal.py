@@ -20,34 +20,6 @@ class SignalError(Exception):
     pass
 
 
-class TooShortError(SignalError):
-    pass
-
-
-class UnknownWaveletError(SignalError):
-    pass
-
-
-class MalformedCoeffsError(SignalError):
-    pass
-
-
-class EmptyInputError(SignalError):
-    pass
-
-
-class BadNError(SignalError):
-    pass
-
-
-class NegativeLambdaError(SignalError):
-    pass
-
-
-class WindowFileError(SignalError):
-    pass
-
-
 _HAAR = np.array([1.0, 1.0]) / np.sqrt(2.0)
 # Daubechies 4-vanishing-moment scaling filter, polished to machine
 # precision against the orthonormality and moment conditions.
@@ -69,7 +41,7 @@ def _scaling_filter(wavelet):
     try:
         return _FILTERS[wavelet]
     except KeyError:
-        raise UnknownWaveletError(f"unknown wavelet {wavelet!r}; expected one of {sorted(_FILTERS)}") from None
+        raise SignalError(f"unknown wavelet {wavelet!r}; expected one of {sorted(_FILTERS)}") from None
 
 
 def _wavelet_filter(h):
@@ -87,7 +59,7 @@ class RawSignal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
-            raise TooShortError(f"signal must be 1-D with length >= 2, got shape {samples.shape}")
+            raise SignalError(f"signal must be 1-D with length >= 2, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise SignalError("signal contains non-finite samples")
         object.__setattr__(self, "samples", samples)
@@ -150,17 +122,17 @@ def dwt_forward(signal: RawSignal, wavelet: str = "db4", levels: int = 4) -> Wav
     """
     h = _scaling_filter(wavelet)
     if levels < 1:
-        raise TooShortError(f"levels must be >= 1, got {levels}")
+        raise SignalError(f"levels must be >= 1, got {levels}")
     x = signal.samples
     if len(x) < 2 ** levels:
-        raise TooShortError(f"signal of length {len(x)} too short for {levels} levels")
+        raise SignalError(f"signal of length {len(x)} too short for {levels} levels")
     g = _wavelet_filter(h)
     details = []
     lengths = []
     current = x
     for _ in range(levels):
         if len(current) < len(h):
-            raise TooShortError(
+            raise SignalError(
                 f"band of length {len(current)} shorter than the {wavelet} filter ({len(h)} taps)"
             )
         lengths.append(len(current))
@@ -175,18 +147,18 @@ def dwt_inverse(coeffs: WaveletCoeffs) -> RawSignal:
     h = _scaling_filter(coeffs.wavelet_name)
     g = _wavelet_filter(h)
     if len(coeffs.details) != coeffs.levels or len(coeffs.lengths) != coeffs.levels:
-        raise MalformedCoeffsError("detail band count does not match levels")
+        raise SignalError("detail band count does not match levels")
     current = np.asarray(coeffs.approx, dtype=np.float64)
     for level in range(coeffs.levels - 1, -1, -1):
         detail = np.asarray(coeffs.details[coeffs.levels - 1 - level], dtype=np.float64)
         if len(detail) != len(current):
-            raise MalformedCoeffsError(
+            raise SignalError(
                 f"band length mismatch at level {level + 1}: approx {len(current)} vs detail {len(detail)}"
             )
         n = coeffs.lengths[level]
         expected = (n + len(h) - 3) // 2 + 1
         if len(current) != expected:
-            raise MalformedCoeffsError(
+            raise SignalError(
                 f"band length {len(current)} inconsistent with analyzed length {n}"
             )
         current = _synthesize_once(current, detail, h, g, n)
@@ -197,14 +169,14 @@ def mad_sigma(finest_details) -> float:
     """Robust noise estimate: median(|d|) / 0.6745."""
     d = np.asarray(finest_details, dtype=np.float64)
     if d.size == 0:
-        raise EmptyInputError("mad_sigma needs a nonempty sequence")
+        raise SignalError("mad_sigma needs a nonempty sequence")
     return float(np.median(np.abs(d)) / 0.6745)
 
 
 def universal_threshold(sigma: float, n: int) -> float:
     """Shrinkage threshold sigma * sqrt(2 ln n)."""
     if n < 2:
-        raise BadNError(f"n must be >= 2, got {n}")
+        raise SignalError(f"n must be >= 2, got {n}")
     if sigma < 0:
         raise SignalError("sigma must be nonnegative")
     return float(sigma * np.sqrt(2.0 * np.log(n)))
@@ -213,7 +185,7 @@ def universal_threshold(sigma: float, n: int) -> float:
 def soft_threshold(coeffs, lam: float):
     """sign(c) * max(|c| - lam, 0) elementwise."""
     if lam < 0:
-        raise NegativeLambdaError(f"threshold must be nonnegative, got {lam}")
+        raise SignalError(f"threshold must be nonnegative, got {lam}")
     c = np.asarray(coeffs, dtype=np.float64)
     return np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
 
@@ -246,9 +218,9 @@ def save_window_csv(path, samples, labels):
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels)
     if samples.ndim != 2 or samples.shape[1] != WINDOW_LENGTH:
-        raise WindowFileError(f"expected samples of shape [N, {WINDOW_LENGTH}], got {samples.shape}")
+        raise SignalError(f"expected samples of shape [N, {WINDOW_LENGTH}], got {samples.shape}")
     if labels.shape != (samples.shape[0],):
-        raise WindowFileError("label count does not match window count")
+        raise SignalError("label count does not match window count")
     lines = [WINDOW_HEADER]
     for row, label in zip(samples, labels):
         lines.append(str(int(label)) + "," + ",".join(repr(float(v)) for v in row))
@@ -262,7 +234,7 @@ def load_window_csv(path):
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != WINDOW_HEADER:
-                raise WindowFileError(f"bad header in {path}: expected 'label,s0,...,s255'")
+                raise SignalError(f"bad header in {path}: expected 'label,s0,...,s255'")
             samples = []
             labels = []
             for line_no, line in enumerate(fh, start=2):
@@ -271,20 +243,20 @@ def load_window_csv(path):
                     continue
                 fields = line.split(",")
                 if len(fields) != WINDOW_LENGTH + 1:
-                    raise WindowFileError(f"{path}:{line_no}: expected {WINDOW_LENGTH + 1} fields, got {len(fields)}")
+                    raise SignalError(f"{path}:{line_no}: expected {WINDOW_LENGTH + 1} fields, got {len(fields)}")
                 try:
                     label = int(fields[0])
                     row = np.array(fields[1:], dtype=np.float64)
                 except ValueError as exc:
-                    raise WindowFileError(f"{path}:{line_no}: unparsable value ({exc})") from None
+                    raise SignalError(f"{path}:{line_no}: unparsable value ({exc})") from None
                 if label not in (0, 1):
-                    raise WindowFileError(f"{path}:{line_no}: label must be 0 or 1, got {label}")
+                    raise SignalError(f"{path}:{line_no}: label must be 0 or 1, got {label}")
                 if not np.all(np.isfinite(row)):
-                    raise WindowFileError(f"{path}:{line_no}: non-finite sample")
+                    raise SignalError(f"{path}:{line_no}: non-finite sample")
                 samples.append(row)
                 labels.append(label)
     except UnicodeDecodeError as exc:
-        raise WindowFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise SignalError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not samples:
-        raise WindowFileError(f"{path}: no data rows")
+        raise SignalError(f"{path}: no data rows")
     return np.stack(samples), np.array(labels, dtype=np.int64)

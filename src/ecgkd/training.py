@@ -422,7 +422,7 @@ def _grid_cell(args):
     return student, alpha, temperature, fold_metrics, diag
 
 
-def run_grid(windows, labels, teacher_z, cfg: RunConfig, dataset_name: str, save_dir=None):
+def run_grid(windows, labels, teacher_z, cfg: RunConfig, save_dir=None):
     """Full (student x alpha x T) sweep under stratified k-fold validation.
 
     Returns (reports, diagnostics) where diagnostics maps
@@ -445,10 +445,6 @@ def run_grid(windows, labels, teacher_z, cfg: RunConfig, dataset_name: str, save
     reports = []
     diagnostics = {}
     for student, alpha, temperature, fold_metrics, diag in results:
-        report = MetricsReport(
-            student=student, alpha=alpha, temperature=temperature,
-            dataset=dataset_name, folds=fold_metrics,
-        ).finalize()
-        reports.append(report)
+        reports.append(MetricsReport(student, alpha, temperature, fold_metrics).finalize())
         diagnostics[(student, alpha, temperature)] = diag
     return reports, diagnostics

@@ -380,7 +380,7 @@ def test_vqc_measurement_accounting(pipeline):
         temperatures=(2.0,), folds=5, ae_epochs=2, spsa_steps=25, spsa_batch=32,
         spsa_restarts=1, batch_size=32,
     )
-    reports, diagnostics = run_grid(samples, labels, teacher_z, cfg, "accounting")
+    reports, diagnostics = run_grid(samples, labels, teacher_z, cfg)
     for diag in diagnostics[("ae_vqc", 0.5, 2.0)]:
         assert diag["loss_evaluations"] == 2 * cfg.spsa_steps
         assert len(diag["theta"]) == 36

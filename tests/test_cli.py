@@ -1,17 +1,21 @@
 import hashlib
+import importlib
+import inspect
 import json
-import os
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgkd
 from ecgkd import cli, quantum
 from ecgkd.distill import load_teacher_logits
 from ecgkd.evalkit import METRIC_KEYS, binary_metrics, stratified_kfold
 from ecgkd.models import load_model
 from ecgkd.signal import load_window_csv
-from ecgkd.training import encode_latents
+from ecgkd.synthetic import BadSpecError
+from ecgkd.training import ConfigError, encode_latents
 
 
 def run_cli(*argv):
@@ -375,3 +379,29 @@ def test_paramcount_json(capsys):
 
 def test_unknown_flag_exit_1():
     assert run_cli("synth", "--frequency", "2") == 1
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("not json", "unreadable report"),
+    ('{"entries": [{"student": "cnn1d", "alpha": 0.5, "temperature": 2.0, "folds": []}]}', "entry 0 needs"),
+    ("[1, 2]", "has no 'entries' list"),
+])
+def test_report_malformed_exit_2_names_file(text, fragment, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert run_cli("report", "--report", str(path)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and fragment in err
+
+
+def test_one_error_class_per_module():
+    """Each module raises its own one error; the CLI maps the three
+    validation errors to exit 1 and every other error to exit 2."""
+    for info in pkgutil.iter_modules(ecgkd.__path__):
+        module = importlib.import_module(f"ecgkd.{info.name}")
+        errors = [
+            name for name, obj in inspect.getmembers(module, inspect.isclass)
+            if issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        ]
+        assert len(errors) <= 1, (info.name, errors)
+    assert cli._VALIDATION_ERRORS == (cli.CliValidationError, ConfigError, BadSpecError)

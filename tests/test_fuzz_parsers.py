@@ -1,4 +1,4 @@
-"""Fuzzing of the four file parsers and of the run config.
+"""Fuzzing of the five file parsers and of the run config.
 
 Random bytes, mutated valid files and random JSON documents must either
 load or raise the parser's typed error naming the file; any other
@@ -6,6 +6,7 @@ exception is a parser gap.  Random config documents must give a RunConfig
 whose values are in range, or raise ConfigError.
 """
 
+import contextlib
 import json
 import math
 
@@ -16,11 +17,21 @@ from hypothesis import strategies as st
 
 from ecgkd.autodiff import AutodiffError, load_checkpoint, save_checkpoint
 from ecgkd.distill import DistillError, load_teacher_logits, save_teacher_logits
+from ecgkd.evalkit import (
+    EvalError,
+    MetricsReport,
+    load_report_json,
+    render_table,
+    report_json,
+    save_report_json,
+)
 from ecgkd.quantum import QuantumError, load_theta, save_theta
 from ecgkd.signal import SignalError, load_window_csv, save_window_csv
 from ecgkd.training import GRID_STUDENTS, ConfigError, RunConfig, config_from_dict
 
 FUZZ = settings(max_examples=200, deadline=None)
+
+_REPORT = MetricsReport("cnn1d", 0.5, 2.0, folds=[dict(accuracy=0.9, precision=0.8, recall=1.0, f1=0.88)]).finalize()
 
 # name: (loader, the base error of its module, writer of a valid file)
 PARSERS = {
@@ -44,9 +55,14 @@ PARSERS = {
         QuantumError,
         lambda path: save_theta(path, np.linspace(-1.0, 1.0, 36), seed=3),
     ),
+    "report_json": (
+        load_report_json,
+        EvalError,
+        lambda path: save_report_json(path, report_json([_REPORT], "windows.csv", 7)),
+    ),
 }
 
-# Bytes that matter to the four formats' syntax.
+# Bytes that matter to the five formats' syntax.
 _SYNTAX_BYTES = st.sampled_from(list(b',\n\r.-+eE0123456789"[]{}:naifNI '))
 
 JSON_VALUES = st.recursive(
@@ -138,6 +154,35 @@ def test_checkpoint_headers_load_or_raise_typed_error(arch, params, n_values, wo
        | st.fixed_dictionaries({"theta": JSON_VALUES}) | JSON_VALUES)
 def test_theta_documents_load_or_raise_typed_error(doc, workdir):
     _load_or_typed_error("theta", workdir / "doc.theta", json.dumps(doc).encode("utf-8"))
+
+
+_METRICS = st.fixed_dictionaries({k: st.floats() | st.integers() for k in ("accuracy", "precision", "recall", "f1")})
+
+
+@FUZZ
+@given(doc=st.fixed_dictionaries({"entries": st.lists(
+    st.fixed_dictionaries({
+        "student": st.sampled_from(["cnn1d"]) | JSON_VALUES,
+        "alpha": st.floats() | st.integers() | JSON_VALUES,
+        "temperature": st.floats() | st.integers() | JSON_VALUES,
+        "folds": st.lists(_METRICS, max_size=2) | JSON_VALUES,
+        "mean": _METRICS | JSON_VALUES,
+    }) | JSON_VALUES,
+    max_size=3,
+)}) | JSON_VALUES)
+def test_report_documents_load_or_raise_typed_error(doc, workdir):
+    """A report that loads also renders, as ``ecgkd report`` does, or
+    raises EvalError for a grid it does not fill."""
+    path = workdir / "doc.report_json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        reports = load_report_json(path)
+    except EvalError as exc:
+        assert str(path) in str(exc)
+        return
+    alphas, temperatures = sorted({r.alpha for r in reports}), sorted({r.temperature for r in reports})
+    with contextlib.suppress(EvalError):
+        render_table(reports, alphas=alphas, temperatures=temperatures)
 
 
 _COUNTS = st.integers(-1, 4)

@@ -192,11 +192,11 @@ def test_run_grid_tiny_end_to_end(tiny_dataset):
         dataset="d", seed=5, students=("cnn1d",), alphas=(0.5,), temperatures=(2.0,),
         epochs=1, batch_size=16, folds=2, ae_epochs=1, spsa_steps=3, spsa_batch=16,
     )
-    reports, diagnostics = run_grid(X, y, tz, cfg, "tiny")
+    reports, diagnostics = run_grid(X, y, tz, cfg)
     assert len(reports) == 1
     assert len(reports[0].folds) == 2
     assert set(reports[0].mean) == {"accuracy", "precision", "recall", "f1"}
-    again, _ = run_grid(X, y, tz, cfg, "tiny")
+    again, _ = run_grid(X, y, tz, cfg)
     assert reports[0].to_entry() == again[0].to_entry()
 
 
@@ -207,7 +207,7 @@ def test_run_grid_cardinality_small(tiny_dataset):
         temperatures=(2.0,), epochs=1, batch_size=16, folds=2, ae_epochs=1,
         spsa_steps=3, spsa_batch=16,
     )
-    reports, diagnostics = run_grid(X, y, tz, cfg, "tiny")
+    reports, diagnostics = run_grid(X, y, tz, cfg)
     assert len(reports) == 4
     vqc_diag = diagnostics[("ae_vqc", 0.3, 2.0)]
     assert all(d["loss_evaluations"] == 2 * cfg.spsa_steps for d in vqc_diag)
@@ -223,8 +223,8 @@ def test_run_grid_parallel_matches_serial(tiny_dataset):
     # full size (resnet1d has 3.85M parameters)
     for cells in (dict(students=("cnn1d",), alphas=(0.3, 0.7)),
                   dict(students=("cnn1d", "resnet1d"), alphas=(0.5,))):
-        serial, _ = run_grid(X, y, tz, RunConfig(**base, **cells, jobs=1), "tiny")
-        parallel, _ = run_grid(X, y, tz, RunConfig(**base, **cells, jobs=2), "tiny")
+        serial, _ = run_grid(X, y, tz, RunConfig(**base, **cells, jobs=1))
+        parallel, _ = run_grid(X, y, tz, RunConfig(**base, **cells, jobs=2))
         assert len(serial) == 2
         assert [r.to_entry() for r in serial] == [r.to_entry() for r in parallel]
 
@@ -246,6 +246,6 @@ def test_run_grid_keeps_at_most_one_fold_model_alive(tiny_dataset, tmp_path, mon
     monkeypatch.setattr(training, "train_kd_student", tracked)
     cfg = RunConfig(dataset="d", seed=4, students=("cnn1d",), alphas=(0.5,), temperatures=(2.0,),
                     epochs=1, batch_size=16, folds=3)
-    run_grid(X, y, tz, cfg, "tiny", save_dir=str(tmp_path))
+    run_grid(X, y, tz, cfg, save_dir=str(tmp_path))
     assert len(earlier) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fold0.ckpt", "fold1.ckpt", "fold2.ckpt"]
