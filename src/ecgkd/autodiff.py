@@ -315,12 +315,12 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def batchnorm1d(x, gamma, beta, running, train):
+def batchnorm1d(x, gamma, beta, running_mean, running_var, train):
     """Per-channel batch normalization over the batch and length axes.
 
-    ``running`` is a dict with "mean" and "var" arrays of shape [C].  In
-    training (``train`` true) it is updated in place with momentum
-    BN_MOMENTUM and the output is normalized with population (biased)
+    ``running_mean`` and ``running_var`` are gradient-free Tensors of shape
+    [C].  In training (``train`` true) their ``.data`` takes a momentum
+    BN_MOMENTUM step and the output is normalized with population (biased)
     batch statistics; in eval mode with the stored running statistics.
     """
     if x.data.ndim != 3:
@@ -334,11 +334,11 @@ def batchnorm1d(x, gamma, beta, running, train):
         mean = x.data.mean(axis=(0, 2))
         sq = np.einsum("bcl,bcl->c", x.data, x.data, optimize=True) / count
         var = np.maximum(sq - mean * mean, 0.0)
-        running["mean"] = (1.0 - BN_MOMENTUM) * running["mean"] + BN_MOMENTUM * mean
-        running["var"] = (1.0 - BN_MOMENTUM) * running["var"] + BN_MOMENTUM * var
+        running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
+        running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var
     else:
-        mean = running["mean"]
-        var = running["var"]
+        mean = running_mean.data
+        var = running_var.data
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # single fused multiply-add: out = x * scale + shift
@@ -404,59 +404,51 @@ def kaiming_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _leaves(value, name):
-    # (dotted name, leaf) in attribute definition order: a Tensor, or the
-    # (dict, key) slot of a buffer held in a dict attribute such as
-    # BatchNorm1d.running, named "<attribute>_<key>".
+def _tensors(value, name):
+    # (dotted name, Tensor) in attribute definition order.
     if isinstance(value, Module):
         for key, child in vars(value).items():
-            yield from _leaves(child, f"{name}.{key}" if name else key)
+            yield from _tensors(child, f"{name}.{key}" if name else key)
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            yield from _leaves(item, f"{name}.{i}")
+            yield from _tensors(item, f"{name}.{i}")
     elif isinstance(value, Tensor):
         yield name, value
-    elif isinstance(value, dict):
-        for key in value:
-            yield f"{name}_{key}", (value, key)
 
 
 class Module:
     """Base of layers and models.
 
-    Trainable tensors, and buffers (the arrays of a dict attribute such as
-    BatchNorm1d.running), are found by walking attributes and lists of
-    modules in definition order and named by dotted path, for example
-    ``stages.0.1.bn2.gamma`` and ``blocks.3.bn.running_var``.  The walk
-    runs only when building an optimizer, saving or loading, never per step.
+    A module's state is the Tensors found by walking its attributes and
+    lists of modules in definition order, named by dotted path, for example
+    ``stages.0.1.bn2.gamma`` and ``blocks.3.bn.running_var``.  Parameters
+    need a gradient; buffers, such as BatchNorm1d's running statistics, do
+    not.  The walk runs only when building an optimizer, saving or loading,
+    never per step.
     """
 
     def parameters(self):
-        """(dotted name, tensor) pairs of every trainable tensor."""
-        return [(n, leaf) for n, leaf in _leaves(self, "") if isinstance(leaf, Tensor)]
+        """(dotted name, tensor) pairs of every parameter."""
+        return [(n, t) for n, t in _tensors(self, "") if t.requires_grad]
 
     named_parameters = parameters
 
     def state_items(self):
         """Checkpoint arrays: every parameter, then every buffer."""
-        items = [(n, t.data) for n, t in self.parameters()]
-        return items + [(n, holder[key]) for n, (holder, key) in self._buffers()]
+        walk = sorted(_tensors(self, ""), key=lambda item: not item[1].requires_grad)  # stable
+        return [(n, t.data) for n, t in walk]
 
     def load_state(self, arrays):
-        for name, tensor in self.parameters():
+        """Copy ``arrays`` into the state.  A missing parameter or a shape
+        mismatch raises AutodiffError; a missing buffer keeps its value."""
+        for name, tensor in _tensors(self, ""):
             if name not in arrays:
-                raise AutodiffError(f"missing parameter {name!r} in checkpoint")
-            if arrays[name].shape != tensor.data.shape:
-                raise AutodiffError(
-                    f"shape mismatch for {name!r}: {arrays[name].shape} vs {tensor.data.shape}"
-                )
-            tensor.data = arrays[name].astype(np.float64).copy()
-        for name, (holder, key) in self._buffers():
-            if name in arrays:
-                holder[key] = arrays[name].astype(np.float64).copy()
-
-    def _buffers(self):
-        return [(n, leaf) for n, leaf in _leaves(self, "") if isinstance(leaf, tuple)]
+                if tensor.requires_grad:
+                    raise AutodiffError(f"missing parameter {name!r} in checkpoint")
+                continue
+            if arrays[name].shape != tensor.shape:
+                raise AutodiffError(f"shape mismatch for {name!r}: {arrays[name].shape} vs {tensor.shape}")
+            tensor.data = np.array(arrays[name], dtype=np.float64)
 
 
 class Conv1d(Module):
@@ -486,10 +478,11 @@ class BatchNorm1d(Module):
     def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running = {"mean": np.zeros(channels), "var": np.ones(channels)}
+        self.running_mean = Tensor(np.zeros(channels))
+        self.running_var = Tensor(np.ones(channels))
 
     def __call__(self, x, train=False):
-        return batchnorm1d(x, self.gamma, self.beta, self.running, train)
+        return batchnorm1d(x, self.gamma, self.beta, self.running_mean, self.running_var, train)
 
 
 class Linear(Module):
@@ -512,20 +505,16 @@ CHECKPOINT_MAGIC = b"QDST1"
 
 def save_checkpoint(path, arch, named_arrays):
     """Write named float64 arrays plus an architecture id to ``path``."""
-    entries = []
-    offset = 0
-    blobs = []
-    for name, arr in named_arrays:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-        blobs.append(arr.tobytes())
+    arrays = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in named_arrays]
+    offsets = itertools.accumulate((arr.size for _, arr in arrays), initial=0)
+    entries = [{"name": name, "shape": list(arr.shape), "offset": offset}
+               for (name, arr), offset in zip(arrays, offsets)]
     header = json.dumps({"arch": arch, "params": entries}, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(header.encode("utf-8") + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for _, arr in arrays:
+            fh.write(arr)
 
 
 def load_checkpoint(path):

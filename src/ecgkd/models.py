@@ -173,13 +173,15 @@ class ConvAutoencoder(Module):
         return self.decode(self.encode(x))
 
 
+# Every checkpointable model by its ``arch`` id.
+ARCHITECTURES = {cls.arch: cls for cls in (Cnn1dStudent, Resnet1dStudent, ConvAutoencoder, WideCnnTeacher)}
+
+
 def build_student(kind: str, seed: int = 0):
     """A fresh backprop student: "cnn1d" or "resnet1d"."""
-    if kind == "cnn1d":
-        return Cnn1dStudent(seed=seed)
-    if kind == "resnet1d":
-        return Resnet1dStudent(seed=seed)
-    raise ValueError(f"unknown student kind {kind!r}; expected 'cnn1d' or 'resnet1d'")
+    if kind not in ("cnn1d", "resnet1d"):
+        raise ValueError(f"unknown student kind {kind!r}; expected 'cnn1d' or 'resnet1d'")
+    return ARCHITECTURES[kind](seed=seed)
 
 
 def save_model(path, model):
@@ -188,14 +190,8 @@ def save_model(path, model):
 
 def load_model(path):
     arch, arrays = ad.load_checkpoint(path)
-    builders = {
-        "cnn1d": Cnn1dStudent,
-        "resnet1d": Resnet1dStudent,
-        "conv_ae": ConvAutoencoder,
-        "wide_cnn_teacher": WideCnnTeacher,
-    }
-    if arch not in builders:
+    if arch not in ARCHITECTURES:
         raise ad.AutodiffError(f"unknown architecture {arch!r} in {path}")
-    model = builders[arch]()
+    model = ARCHITECTURES[arch]()
     model.load_state(arrays)
     return model

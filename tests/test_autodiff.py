@@ -240,8 +240,8 @@ def test_op_bits():
             param(2, 4, 9), param(4, 3, k), param(3))
     run(linear, param(6, 10), param(4, 10), param(4))
     for train in (True, False):
-        running = {"mean": rng.standard_normal(3), "var": rng.uniform(0.5, 1.5, 3)}
-        run(lambda x, g, b: batchnorm1d(x, g, b, running, train), param(4, 3, 11), param(3), param(3))
+        mean, var = Tensor(rng.standard_normal(3)), Tensor(rng.uniform(0.5, 1.5, 3))
+        run(lambda x, g, b: batchnorm1d(x, g, b, mean, var, train), param(4, 3, 11), param(3), param(3))
     run(ad.add, param(5, 7), param(5, 7))
     run(ad.mul, param(5, 7), param(5, 7))
     assert digest.hexdigest() == OP_BITS_SHA256
@@ -299,17 +299,17 @@ def test_batchnorm_gradients_train_and_eval():
     bn = BatchNorm1d(2)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 2)
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, 2)
-    bn.running["mean"] = rng.standard_normal(2) * 0.1
-    bn.running["var"] = rng.uniform(0.5, 1.5, 2)
+    bn.running_mean.data = rng.standard_normal(2) * 0.1
+    bn.running_var.data = rng.uniform(0.5, 1.5, 2)
     # positional weights break the normalization invariance of the loss,
     # otherwise the train-mode input gradient is degenerate (eps-scale)
     weights = rng.standard_normal((3, 2, 6))
 
     for train in (True, False):
-        running_backup = {k: v.copy() for k, v in bn.running.items()}
+        running_backup = (bn.running_mean.data.copy(), bn.running_var.data.copy())
 
         def fn():
-            bn.running = {k: v.copy() for k, v in running_backup.items()}
+            bn.running_mean.data, bn.running_var.data = (a.copy() for a in running_backup)
             out = ad.mul(bn(x, train=train), weights)
             return mean_all(ad.mul(out, out))
 
@@ -319,7 +319,7 @@ def test_batchnorm_gradients_train_and_eval():
 def test_batchnorm_mode_and_shape_errors():
     bn = BatchNorm1d(3)
     with pytest.raises(AutodiffError, match="gamma/beta must have shape"):
-        batchnorm1d(Tensor(np.zeros((2, 4, 4))), bn.gamma, bn.beta, bn.running, True)
+        batchnorm1d(Tensor(np.zeros((2, 4, 4))), bn.gamma, bn.beta, bn.running_mean, bn.running_var, True)
 
 
 def test_dropout_eval_identity_and_train_scaling():

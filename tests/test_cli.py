@@ -63,6 +63,9 @@ def test_synth_balance(tmp_path):
 def test_synth_validation_exit_code(tmp_path):
     assert run_cli("synth", "--out", str(tmp_path / "w.csv"), "--n", "10", "--seed", "1") == 1
     assert run_cli("synth", "--out", str(tmp_path / "w.csv"), "--n", "60") == 1  # seed required
+    for sigma in ("nan", "inf"):
+        assert run_cli("synth", "--out", str(tmp_path / "w.csv"), "--noise-sigma", sigma, "--seed", "1") == 1
+    assert not (tmp_path / "w.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "teacher"])
@@ -71,6 +74,14 @@ def test_negative_seed_exit_1(command, small_windows, tmp_path, capsys):
     argv = {"synth": ["--out", out, "--n", "60"], "teacher": ["--windows", small_windows, "--out", out]}
     assert run_cli(command, *argv[command], "--seed", "-3") == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_teacher_non_finite_lr_exit_1(lr, small_windows, tmp_path, capsys):
+    out = tmp_path / "t.ckpt"
+    assert run_cli("teacher", "--windows", small_windows, "--out", str(out), "--lr", lr, "--seed", "1") == 1
+    assert "lr" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_denoise_preserves_rows_and_labels(small_windows, tmp_path):
@@ -385,6 +396,7 @@ def test_unknown_flag_exit_1():
     ("not json", "unreadable report"),
     ('{"entries": [{"student": "cnn1d", "alpha": 0.5, "temperature": 2.0, "folds": []}]}', "entry 0 needs"),
     ("[1, 2]", "has no 'entries' list"),
+    ('{"entries": []}', "has no entries"),
 ])
 def test_report_malformed_exit_2_names_file(text, fragment, tmp_path, capsys):
     path = tmp_path / "report.json"

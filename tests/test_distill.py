@@ -191,6 +191,13 @@ def test_teacher_logits_roundtrip(tmp_path):
     assert np.allclose(got, [0.5, -1.2])
 
 
+def test_save_teacher_logits_rejects_non_finite(tmp_path):
+    path = tmp_path / "logits.csv"
+    with pytest.raises(DistillError, match="non-finite"):
+        save_teacher_logits(path, [0.5, float("nan")])
+    assert not path.exists()
+
+
 def test_teacher_logits_row_count_mismatch(tmp_path):
     path = tmp_path / "logits.csv"
     save_teacher_logits(path, [0.5, -1.2])

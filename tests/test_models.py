@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ecgkd.autodiff import Tensor
+from ecgkd.autodiff import AutodiffError, Tensor
 from ecgkd.models import (
     Cnn1dStudent,
     ConvAutoencoder,
@@ -207,6 +207,35 @@ def test_checkpoint_roundtrip_preserves_eval_outputs(tmp_path):
         loaded = load_model(path)
         after = loaded.forward(x, train=False).data
         assert np.allclose(before, after, atol=1e-12)
+
+
+def test_load_state_missing_parameter_raises():
+    arrays = dict(Cnn1dStudent(seed=0).state_items())
+    del arrays["fc2.bias"]
+    with pytest.raises(AutodiffError, match="missing parameter 'fc2.bias'"):
+        Cnn1dStudent(seed=1).load_state(arrays)
+
+
+def test_load_state_shape_mismatch_raises():
+    arrays = dict(Cnn1dStudent(seed=0).state_items())
+    arrays["fc1.weight"] = arrays["fc1.weight"][:, :-1]
+    with pytest.raises(AutodiffError, match="shape mismatch for 'fc1.weight'"):
+        Cnn1dStudent(seed=1).load_state(arrays)
+
+
+def test_load_state_parameters_only_keeps_default_buffers():
+    source = Cnn1dStudent(seed=0)
+    source.forward(Tensor(np.random.default_rng(2).standard_normal((8, 1, 256))), train=True)
+    params = {n: t.data for n, t in source.parameters()}
+    model = Cnn1dStudent(seed=1)
+    model.load_state(params)
+    for name, tensor in model.parameters():
+        assert np.array_equal(tensor.data, params[name])
+        assert not np.shares_memory(tensor.data, params[name])
+    buffers = model.state_items()[len(params):]
+    assert len(buffers) == 8 and buffers[0][0] == "blocks.0.bn.running_mean"
+    for name, value in buffers:
+        assert np.all(value == (0.0 if name.endswith("running_mean") else 1.0)), name
 
 
 # sha256 of the QDST1 header line of a seed-0 checkpoint per architecture.
