@@ -123,8 +123,8 @@ def cmd_denoise(args):
 
 
 def cmd_teacher(args):
-    if args.epochs < 1 or args.batch_size < 1 or args.lr <= 0 or args.seed < 0:
-        raise CliValidationError("epochs and batch-size must be >= 1, lr positive and seed >= 0")
+    if args.epochs < 1 or args.batch_size < 1 or not 0 < args.lr < np.inf or args.seed < 0:
+        raise CliValidationError("epochs and batch-size must be >= 1, lr positive and finite and seed >= 0")
     _require_file(args.windows, "window CSV")
     samples, labels = sig.load_window_csv(args.windows)
     model = training.train_teacher(samples, labels, args.epochs, args.batch_size, args.lr, args.seed)

@@ -136,7 +136,12 @@ def kd_loss_batch(student_z: ad.Tensor, teacher_z, labels, cfg: KdConfig) -> ad.
 
 
 def save_teacher_logits(path, logits):
+    """Write one ``index,logit`` row per logit; a non-finite logit raises
+    DistillError before the file is opened."""
     logits = np.asarray(logits, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(logits))
+    if bad.size:
+        raise DistillError(f"non-finite teacher logit at row {bad[0]}; not writing {path}")
     lines = ["index,logit"]
     for i, z in enumerate(logits):
         lines.append(f"{i},{float(z)!r}")

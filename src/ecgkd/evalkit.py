@@ -128,9 +128,9 @@ def reports_from_json(doc):
 
 
 def load_report_json(path):
-    """Reports from a ``report.json``.  Text that is not JSON, or an entry
-    without the keys and types that ``render_table`` reads, raises EvalError
-    naming ``path``."""
+    """Reports from a ``report.json``.  Text that is not JSON, an empty
+    ``entries`` list, or an entry without the keys and types that
+    ``render_table`` reads, raises EvalError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # Integers parse as floats, so an oversized one reads as inf
@@ -141,6 +141,8 @@ def load_report_json(path):
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise EvalError(f"report {path} has no 'entries' list")
+    if not entries:
+        raise EvalError(f"report {path} has no entries")
     for i, e in enumerate(entries):
         if not (
             isinstance(e, dict)

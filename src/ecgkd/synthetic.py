@@ -48,8 +48,8 @@ class SynthSpec:
             raise BadSpecError(f"n_windows must be >= 50 (10 per default fold), got {self.n_windows}")
         if not 0.0 < self.balance < 1.0:
             raise BadSpecError(f"balance must be in (0, 1), got {self.balance}")
-        if self.noise_sigma < 0:
-            raise BadSpecError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise BadSpecError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if self.seed < 0:
             raise BadSpecError(f"seed must be nonnegative, got {self.seed}")
 

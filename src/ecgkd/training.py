@@ -12,6 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -404,8 +405,10 @@ def _save_fold(save_dir, fold, student, trained, diagnostics, ae_fold, seed):
     )
 
 
-def _grid_cell(args):
-    student, alpha, temperature, windows, labels, teacher_z, splits, cfg, ae_folds, save_dir = args
+def _grid_cell(windows, labels, teacher_z, splits, cfg, ae_folds, save_dir, cell):
+    """Train one (student, alpha, T) cell on every fold; returns its report
+    and the per-fold diagnostics."""
+    student, alpha, temperature = cell
     kd = KdConfig(alpha=alpha, temperature=temperature)
     fold_metrics = []
     diag = []
@@ -419,7 +422,7 @@ def _grid_cell(args):
         del trained
         fold_metrics.append(metrics)
         diag.append(diagnostics)
-    return student, alpha, temperature, fold_metrics, diag
+    return MetricsReport(student, alpha, temperature, fold_metrics).finalize(), diag
 
 
 def run_grid(windows, labels, teacher_z, cfg: RunConfig, save_dir=None):
@@ -432,19 +435,11 @@ def run_grid(windows, labels, teacher_z, cfg: RunConfig, save_dir=None):
     """
     splits = stratified_kfold(labels, cfg.folds, seed=cfg.seed)
     ae_cache = prepare_ae_folds(windows, splits, cfg) if "ae_vqc" in cfg.students else {}
-    cells = [
-        (student, alpha, temperature, windows, labels, teacher_z, splits, cfg,
-         ae_cache if student == "ae_vqc" else {}, save_dir)
-        for student in cfg.students for temperature in cfg.temperatures for alpha in cfg.alphas
-    ]
+    cell_fn = partial(_grid_cell, windows, labels, teacher_z, splits, cfg, ae_cache, save_dir)
+    cells = [(s, a, t) for s in cfg.students for t in cfg.temperatures for a in cfg.alphas]
     if cfg.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_grid_cell, cells))
+            results = list(pool.map(cell_fn, cells))
     else:
-        results = [_grid_cell(c) for c in cells]
-    reports = []
-    diagnostics = {}
-    for student, alpha, temperature, fold_metrics, diag in results:
-        reports.append(MetricsReport(student, alpha, temperature, fold_metrics).finalize())
-        diagnostics[(student, alpha, temperature)] = diag
-    return reports, diagnostics
+        results = [cell_fn(c) for c in cells]
+    return [report for report, _ in results], {c: diag for c, (_, diag) in zip(cells, results)}
