@@ -434,8 +434,8 @@ class Module:
     named_parameters = parameters
 
     def state_items(self):
-        """Checkpoint arrays: every parameter, then every buffer."""
-        walk = sorted(_tensors(self, ""), key=lambda item: not item[1].requires_grad)  # stable
+        """Checkpoint arrays: every parameter, then every buffer, each in walk order."""
+        walk = sorted(_tensors(self, ""), key=lambda item: not item[1].requires_grad)
         return [(n, t.data) for n, t in walk]
 
     def load_state(self, arrays):
